@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analytics, consensus, ledger as ledger_mod, population, simulator
+from . import analytics, consensus, ledger as ledger_mod, market, population, simulator
 from .market import MARKET_NODE
 from .tokens import TokenAmount
 
@@ -74,7 +74,8 @@ def cmd_simulate(args) -> int:
         result = simulator.run(cfg, out_dir=cfg.out_dir)
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
             population.SchemaError, population.DanglingUserRef,
-            consensus.UnsafeFaultConfig, ledger_mod.LedgerError) as exc:
+            consensus.UnsafeFaultConfig, ledger_mod.LedgerError,
+            market.MarketError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
     throughput = "n/a" if result.throughput is None else f"{result.throughput:.2f}"
     print(f"users={len(result.persons)} trips={len(result.trips)} "

@@ -246,6 +246,20 @@ def _equivocation_variant(pool: Sequence[TokenTransaction], creator: str,
     return build_block(list(pool)[:-1], creator, head)
 
 
+def _proposal_valid(block: Block, ledger: Ledger) -> bool:
+    """The proposal extends the ledger's head, its stored hash matches a
+    recomputation and every transaction validates against the ledger."""
+    head = ledger.head
+    if block.height != head.height + 1 or block.prev_hash != head.block_hash:
+        return False
+    if block.block_hash != compute_block_hash(
+        block.height, block.prev_hash, block.txs, block.creator
+    ):
+        return False
+    accepted, _ = ledger.validate_pool(block.txs)
+    return len(accepted) == len(block.txs)
+
+
 def run_round(
     pool: Sequence[TokenTransaction],
     ledger: Ledger,
@@ -292,20 +306,20 @@ def run_round(
     prop_deliveries = simulate_network(messages, network, rng)
 
     candidates: dict[str, list[Block]] = {v: [] for v in validators}
+    # blocks are frozen, so every delivery of one proposal object gets the
+    # verdict of its first check; `prop_deliveries` keeps every payload alive
+    # for the round, so no id is reused
+    verdicts: dict[int, bool] = {}
     for d in prop_deliveries:
         if d.deliver_time is None or d.deliver_time > prop_deadline:
             continue
         block = d.message.payload
         if d.message.src != block.creator or block.creator not in proposers:
             continue
-        if block.height != head.height + 1 or block.prev_hash != head.block_hash:
-            continue
-        if block.block_hash != compute_block_hash(
-            block.height, block.prev_hash, block.txs, block.creator
-        ):
-            continue
-        accepted, _ = ledger.validate_pool(block.txs)
-        if len(accepted) != len(block.txs):
+        valid = verdicts.get(id(block))
+        if valid is None:
+            valid = verdicts[id(block)] = _proposal_valid(block, ledger)
+        if not valid:
             continue
         if block not in candidates[d.message.dst]:
             candidates[d.message.dst].append(block)
@@ -332,20 +346,17 @@ def run_round(
 
     # --- per-node tallies ---
     commits: dict[str, tuple[float, str, tuple[str, ...]]] = {}
-    any_late_or_dropped = any(
-        d.deliver_time is None or d.deliver_time > round_deadline
-        for d in vote_deliveries
-    )
+    on_time: dict[str, list[tuple[float, Vote]]] = {v: [] for v in validators}
+    any_late_or_dropped = False
+    for d in vote_deliveries:
+        if d.deliver_time is None or d.deliver_time > round_deadline:
+            any_late_or_dropped = True
+        else:
+            on_time[d.message.dst].append((d.deliver_time, d.message.payload))
     max_count = 0
     for node in validators:
         arrivals = sorted(
-            (
-                (d.deliver_time, d.message.payload)
-                for d in vote_deliveries
-                if d.message.dst == node
-                and d.deliver_time is not None
-                and d.deliver_time <= round_deadline
-            ),
+            on_time[node],
             key=lambda item: (item[0], item[1].voter, item[1].block_hash),
         )
         counted: dict[str, str] = {}

@@ -1,9 +1,24 @@
 """Append-only hash-chained token ledger.
 
 A `Ledger` value is a block chain plus the wallet state obtained by folding
-it.  Committed ledgers are immutable: `apply_block` returns a new value and
-leaves the input untouched, so snapshots can be handed to readers freely
-while the single consensus commit path appends.
+it.  Values are immutable: `apply_block` returns a new value and leaves the
+input as it was, so snapshots can be handed to readers freely while the
+single consensus commit path appends.
+
+The values derived from one another share a single wallet map, tx index and
+block list, so a commit costs O(block) rather than O(wallets + height).
+Only one value at a time has its state in those shared structures; every
+other value keeps the inverse diff that turns its successor's state into
+its own (Baker's shallow binding, rerooted as in Conchon and Filliâtre's
+persistent arrays).  Reading any map of a value reroots the structures to
+it, undoing or redoing the diffs along the way, so reading an old value
+costs O(blocks between it and the value read last) and stays correct.
+
+`balances` and `tx_index` are read-only views of the shared maps.  A view
+shows the state of the value it came from only until another value of the
+same history is read or any of them is extended; copy it
+(`dict(ledger.balances)`) to keep it longer.  A failed `apply_block`
+writes nothing.
 
 Transaction and block hashes are SHA-256 over canonical field strings.
 Attestations (transaction signatures, block signatures, votes) are keyed
@@ -19,6 +34,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .tokens import TokenAmount, TokenValueError
@@ -31,11 +47,9 @@ _ADDRESS_RE = re.compile(r"^[0-9a-f]{40}$")
 
 
 def digest(*parts: str) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part.encode("utf-8"))
-        h.update(b"\x1f")
-    return h.hexdigest()
+    """SHA-256 over the parts, each followed by a 0x1f separator."""
+    text = "\x1f".join(parts) + "\x1f" if parts else ""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def derive_address(node_id: str) -> str:
@@ -266,35 +280,81 @@ class ParseError(LedgerError):
 
 
 class Ledger:
-    """Chain plus derived wallet state; values are immutable after commit."""
+    """Chain plus derived wallet state; values are immutable after commit.
 
-    __slots__ = ("chain", "balances", "tx_index", "registry", "validators", "minted_centi")
+    The constructor copies its arguments into fresh shared structures; the
+    values later derived with `apply_block` share them (see the module
+    docstring).
+    """
+
+    __slots__ = ("registry", "validators", "minted_centi", "_balances", "_tx_index",
+                 "_blocks", "_head", "_chain", "_next", "_diff")
 
     def __init__(
         self,
-        chain: tuple[Block, ...],
-        balances: dict[str, int],
-        tx_index: dict[str, tuple[int, int]],
+        chain: Sequence[Block],
+        balances: Mapping[str, int],
+        tx_index: Mapping[str, tuple[int, int]],
         registry: dict[str, NodeIdentity],
         validators: tuple[str, ...],
         minted_centi: int,
     ):
-        self.chain = chain
-        self.balances = balances
-        self.tx_index = tx_index
         self.registry = registry
         self.validators = validators
         self.minted_centi = minted_centi
+        self._balances = dict(balances)
+        self._tx_index = dict(tx_index)
+        self._chain: Optional[tuple[Block, ...]] = tuple(chain)
+        self._blocks = list(self._chain)
+        self._head = self._chain[-1] if self._chain else None
+        # None while this value's state is the one in the shared structures;
+        # otherwise the value whose state `_diff` turns into this one's
+        self._next: Optional[Ledger] = None
+        self._diff: Optional[_Diff] = None
+
+    def _reroot(self) -> None:
+        """Put this value's state into the shared structures."""
+        if self._next is None:
+            return
+        path = []
+        node = self
+        while node._next is not None:
+            path.append(node)
+            node = node._next
+        for older in reversed(path):
+            newer = older._next
+            newer._next, newer._diff = older, _swap(
+                older._diff, older._balances, older._tx_index, older._blocks)
+            older._next = older._diff = None
 
     # -- introspection --
 
     @property
+    def chain(self) -> tuple[Block, ...]:
+        if self._chain is None:
+            self._reroot()
+            self._chain = tuple(self._blocks)
+        return self._chain
+
+    @property
+    def balances(self) -> Mapping[str, int]:
+        """Read-only view; see the module docstring for how long it holds."""
+        self._reroot()
+        return MappingProxyType(self._balances)
+
+    @property
+    def tx_index(self) -> Mapping[str, tuple[int, int]]:
+        """Read-only view; see the module docstring for how long it holds."""
+        self._reroot()
+        return MappingProxyType(self._tx_index)
+
+    @property
     def head(self) -> Block:
-        return self.chain[-1]
+        return self._head
 
     @property
     def height(self) -> int:
-        return self.head.height
+        return self._head.height
 
     @property
     def quorum(self) -> int:
@@ -336,14 +396,15 @@ class Ledger:
 
         Returns (accepted, rejected-with-reason).
         """
-        scratch = dict(self.balances)
+        scratch = _Overlay(self.balances)
+        tx_index = self.tx_index
         seen = set()
         accepted: list[TokenTransaction] = []
         rejected: list[tuple[TokenTransaction, ValidationResult]] = []
         for tx in pool:
             res = validate_stateless(tx)
             if res.ok:
-                if tx.tx_id in seen or tx.tx_id in self.tx_index:
+                if tx.tx_id in seen or tx.tx_id in tx_index:
                     res = _reject(DUPLICATE_TRANSACTION, f"tx {tx.tx_id[:12]} duplicated")
                 elif tx.kind is not TxKind.ALLOCATION:
                     have = scratch.get(tx.sender, 0)
@@ -363,7 +424,11 @@ class Ledger:
     # -- commit path --
 
     def apply_block(self, block: Block) -> "Ledger":
-        """Fold one committed block; returns a new ledger value."""
+        """Fold one committed block; returns a new ledger value.
+
+        Every check runs before the shared structures are written, so a
+        block that fails leaves this value exactly as it was.
+        """
         if block.prev_hash != self.head.block_hash or block.height != self.height + 1:
             raise BrokenChainLink(
                 f"block {block.height} does not extend head {self.height}"
@@ -377,22 +442,32 @@ class Ledger:
             raise QuorumMissing(
                 f"{len(valid_sigs)} valid signatures, quorum is {self.quorum}"
             )
-        balances = dict(self.balances)
-        tx_index = dict(self.tx_index)
-        minted = self.minted_centi
+        self._reroot()
+        balances, tx_index, blocks = self._balances, self._tx_index, self._blocks
+        written = _Overlay(balances)
+        indexed: dict[str, tuple[int, int]] = {}
+        minted = 0
         for pos, tx in enumerate(block.txs):
-            if tx.tx_id in tx_index:
+            if tx.tx_id in tx_index or tx.tx_id in indexed:
                 raise DuplicateCommit(tx.tx_id)
-            minted += _apply_tx(balances, tx)
-            tx_index[tx.tx_id] = (block.height, pos)
-        new = Ledger(
-            self.chain + (block,), balances, tx_index, self.registry, self.validators, minted
-        )
+            minted += _apply_tx(written, tx)
+            indexed[tx.tx_id] = (block.height, pos)
         # conservation is asserted on every commit: transfers cannot create
-        # or destroy tokens, only allocations mint
-        if sum(balances.values()) != minted:
+        # or destroy tokens, only allocations mint.  This value's wallets sum
+        # to its minted total (verify_chain re-sums the whole fold), so the
+        # new value's do exactly when the block's net delta equals its mint.
+        if sum(c - balances.get(a, 0) for a, c in written.items()) != minted:
             raise LedgerError("token conservation broken after block "
                               f"{block.height}: wallets != minted")
+        new = Ledger.__new__(Ledger)
+        new.registry, new.validators = self.registry, self.validators
+        new.minted_centi = self.minted_centi + minted
+        new._balances, new._tx_index, new._blocks = balances, tx_index, blocks
+        new._head, new._chain, new._next, new._diff = block, None, None, None
+        self._diff = (_overwrite(balances, written), _overwrite(tx_index, indexed),
+                      len(blocks), ())
+        self._next = new
+        blocks.append(block)
         return new
 
     # -- queries --
@@ -407,6 +482,47 @@ class Ledger:
                 if tx.sender == owner or tx.receiver == owner:
                     out.append(tx)
         return out
+
+
+# What turns one value's state into a neighbour's: the wallet and index
+# entries to write (None deletes the key), the block-list length to cut back
+# to and the blocks to append after the cut.
+_Diff = tuple[dict[str, Optional[int]], dict[str, Optional[tuple[int, int]]],
+              int, tuple[Block, ...]]
+
+
+def _overwrite(target: dict, values: Mapping) -> dict:
+    """Write `values` into `target`, None deleting; returns what they replaced."""
+    replaced = {k: target.get(k) for k in values}
+    for k, v in values.items():
+        if v is None:
+            del target[k]
+        else:
+            target[k] = v
+    return replaced
+
+
+def _swap(diff: _Diff, balances: dict, tx_index: dict, blocks: list) -> _Diff:
+    """Apply `diff` to the shared structures; returns the diff that undoes it."""
+    balance_writes, index_writes, length, tail = diff
+    undo_tail = tuple(blocks[length:])
+    del blocks[length:]
+    blocks.extend(tail)
+    return (_overwrite(balances, balance_writes), _overwrite(tx_index, index_writes),
+            length, undo_tail)
+
+
+class _Overlay(dict):
+    """Balances written by a pending pool or block over read-only base balances."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: Mapping[str, int]):
+        super().__init__()
+        self.base = base
+
+    def get(self, key, default=None):
+        return self[key] if key in self else self.base.get(key, default)
 
 
 def _apply_tx(balances: dict[str, int], tx: TokenTransaction) -> int:
@@ -511,15 +627,17 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
             found.append(Violation(i, "bad_height", f"stored height {block.height}"))
         # link check cascades: once a block's recomputed hash diverges, every
         # later link is reported broken as well
+        recomputed = compute_block_hash(i, block.prev_hash, block.txs, block.creator)
         if block.prev_hash != expected_prev:
             found.append(
                 Violation(i, "broken_link", "prev_hash does not match previous block")
             )
-        recomputed = compute_block_hash(i, block.prev_hash, block.txs, block.creator)
+            expected_prev = compute_block_hash(i, expected_prev, block.txs, block.creator)
+        else:  # intact link: the next block's expected prev_hash is this recomputation
+            expected_prev = recomputed
         if recomputed != block.block_hash:
             found.append(Violation(i, "block_hash_mismatch", "stored hash differs "
                                    "from recomputation"))
-        expected_prev = compute_block_hash(i, expected_prev, block.txs, block.creator)
 
         valid_sigs = set()
         for addr, att in block.signatures:

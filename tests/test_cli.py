@@ -59,6 +59,14 @@ def test_too_many_byzantine_needs_unsafe_flag(tmp_path, capsys):
     assert "throughput=0.00" in out or "throughput=n/a" in out
 
 
+def test_simulate_market_error_exits_2_with_json(tmp_path, capsys):
+    # the default market pool cannot cover the operator's bus remainders
+    cfg = base_config(tmp_path, operator_pays_remainder=True)
+    code, _, err = run_cli(capsys, "simulate", "-c", str(cfg))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "MarketPoolExhausted"
+
+
 def test_verify_clean_chain(tmp_path, capsys):
     cfg = base_config(tmp_path)
     run_cli(capsys, "simulate", "-c", str(cfg))

@@ -21,6 +21,7 @@ from carbonledger.consensus import (
     simulate_network,
 )
 from carbonledger.ledger import (
+    Ledger,
     NodeIdentity,
     Role,
     TxKind,
@@ -221,6 +222,29 @@ def test_one_equivocator_still_commits_without_fork():
         assert result.decision.outcome == "committed"
         assert len(result.fork_hashes) == 1
         assert result.equivocations
+
+
+@pytest.mark.parametrize("leader_behavior, proposals", [
+    (None, 1),
+    (Behavior.EQUIVOCATE, 2),  # two variants, each sent to half the validators
+])
+def test_each_proposal_validated_once_per_round(monkeypatch, leader_behavior, proposals):
+    ledger = make_ledger()
+    pool = make_pool(ledger, n=3)
+    byz = {VALIDATORS[0].address: leader_behavior} if leader_behavior else {}
+    calls = []
+    original = Ledger.validate_pool
+
+    def counting(self, txs):
+        calls.append(txs)
+        return original(self, txs)
+
+    monkeypatch.setattr(Ledger, "validate_pool", counting)
+    run_round(pool, ledger, NetworkModel(byzantine=byz), ConsensusConfig(4),
+              random.Random(5), round_no=0, start_time=100.0)
+    # not one call per delivery: the proposer sends to all 4 validators
+    assert len(calls) == proposals
+    assert len({tuple(tx.tx_id for tx in txs) for txs in calls}) == proposals
 
 
 def test_silent_leader_times_out_then_next_leader_commits():

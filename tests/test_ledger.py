@@ -16,8 +16,10 @@ from carbonledger.ledger import (
     MALFORMED_DESCRIPTION,
     UNKNOWN_ADDRESS,
     BrokenChainLink,
+    DuplicateCommit,
     EmptyPool,
     Ledger,
+    NegativeBalanceWouldResult,
     NodeIdentity,
     QuorumMissing,
     Role,
@@ -256,6 +258,106 @@ def test_minting_totals_accumulate():
     ledger = create_genesis(users + [MINT], VALIDATORS, allocs)
     assert ledger.minted_centi == grant.centi * n
     assert sum(ledger.balances.values()) == ledger.minted_centi
+
+
+# --- persistence: values share state, reads reroot it ---
+
+
+def snapshot(ledger: Ledger):
+    return (dict(ledger.balances), dict(ledger.tx_index), ledger.chain,
+            ledger.minted_centi, ledger.head)
+
+
+def signed_block(ledger: Ledger, txs):
+    block = build_block(txs, VALIDATORS[0].address, ledger.head)
+    return dataclasses.replace(block, signatures=tuple(sorted(
+        (v.address, block_attestation(v.address, block.block_hash)) for v in VALIDATORS
+    )))
+
+
+@pytest.mark.parametrize("failure", ["overspend", "replay"])
+def test_block_failing_part_way_leaves_input_unchanged(failure):
+    ledger = fresh_ledger("100.00", "100.00")
+    spent = payment(BOB.address, SINK.address, "1.00", ts=3.0, description="trip:t0")
+    ledger = commit(ledger, [spent])
+    before = snapshot(ledger)
+    first = payment(ALICE.address, SINK.address, "60.00", ts=1.0)  # folds cleanly
+    second = (payment(ALICE.address, SINK.address, "60.00", ts=2.0, description="trip:t2")
+              if failure == "overspend" else spent)
+    block = signed_block(ledger, [first, second])
+    assert block.txs[0] == first
+    with pytest.raises(NegativeBalanceWouldResult if failure == "overspend"
+                       else DuplicateCommit):
+        ledger.apply_block(block)
+    assert snapshot(ledger) == before
+    assert first.tx_id not in ledger.tx_index
+    after = commit(ledger, [first])
+    assert after.balance(ALICE.address) == tok("40.00")
+    assert after.tx_index[first.tx_id] == (2, 0)
+    assert after.minted_centi == ledger.minted_centi
+    assert snapshot(ledger) == before
+
+
+def test_two_children_of_one_parent_stay_independent():
+    parent = fresh_ledger("100.00", "100.00")
+    pay_a = payment(ALICE.address, SINK.address, "10.00")
+    pay_b = payment(BOB.address, ALICE.address, "25.00", ts=11.0, description="trip:t2")
+    child_a = commit(parent, [pay_a])
+    child_b = commit(parent, [pay_b])
+    assert child_a.head.block_hash != child_b.head.block_hash
+
+    assert child_a.balance(ALICE.address) == tok("90.00")
+    assert parent.balance(ALICE.address) == tok("100.00")
+    assert child_b.balance(ALICE.address) == tok("125.00")
+    assert pay_a.tx_id in child_a.tx_index and pay_b.tx_id not in child_a.tx_index
+    assert child_b.chain[-1].txs == (pay_b,)
+    assert parent.chain == (parent.head,) and SINK.address not in parent.balances
+    assert child_a.chain[-1].txs == (pay_a,)
+    assert child_b.balance(SINK.address) == tok("0.00")
+    assert child_a.balance(SINK.address) == tok("10.00")
+    # extending a value that is not the one read last
+    grandchild = commit(child_b, [pay_a])
+    assert child_a.balance(ALICE.address) == tok("90.00")
+    assert grandchild.balance(ALICE.address) == tok("115.00")
+    assert [len(v.chain) for v in (parent, child_a, child_b, grandchild)] == [1, 2, 2, 3]
+    assert verify_chain(grandchild).ok and verify_chain(child_a).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_persistent_values_match_dict_copy_oracle(data):
+    # oracle: every value carries its own copied dicts, as an eager ledger would
+    parties = [ALICE.address, BOB.address, SINK.address]
+    values = [fresh_ledger("20.00", "20.00")]
+    oracle = [snapshot(values[0])]
+    for step in range(data.draw(st.integers(1, 25))):
+        i = data.draw(st.integers(0, len(values) - 1))
+        if data.draw(st.booleans()):
+            v = data.draw(st.integers(0, len(values) - 1))
+            assert snapshot(values[v]) == oracle[v]
+            continue
+        balances, tx_index, chain, minted, _ = oracle[i]
+        sender = data.draw(st.sampled_from(parties))
+        receiver = data.draw(st.sampled_from([p for p in parties if p != sender]))
+        amount = data.draw(st.integers(1, 2500))
+        kind = data.draw(st.sampled_from([TxKind.SALE, TxKind.ALLOCATION]))
+        tx = make_transaction(float(step), sender, receiver, TokenAmount(amount), kind)
+        block = signed_block(values[i], [tx])
+        if kind is TxKind.SALE and balances.get(sender, 0) < amount:
+            with pytest.raises(NegativeBalanceWouldResult):
+                values[i].apply_block(block)
+            assert snapshot(values[i]) == oracle[i]
+            continue
+        balances = dict(balances)
+        if kind is TxKind.SALE:
+            balances[sender] -= amount
+        balances[receiver] = balances.get(receiver, 0) + amount
+        minted += amount if kind is TxKind.ALLOCATION else 0
+        values.append(values[i].apply_block(block))
+        oracle.append((balances, {**tx_index, tx.tx_id: (block.height, 0)},
+                       chain + (block,), minted, block))
+    for v in data.draw(st.permutations(range(len(values)))):
+        assert snapshot(values[v]) == oracle[v]
 
 
 # --- chain verification ---
