@@ -13,7 +13,6 @@ from .ledger import (
     Role,
     TokenTransaction,
     TxKind,
-    Wallet,
     build_block,
     create_genesis,
     export_chain,
@@ -28,10 +27,9 @@ from .consensus import (
     Decision,
     NetworkModel,
     Vote,
-    cast_and_tally,
-    order_proposals,
     run_round,
     simulate_network,
+    tally_votes,
 )
 from .emissions import (
     BusChargingPolicy,

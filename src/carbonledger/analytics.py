@@ -13,12 +13,23 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
+from typing import Mapping, Sequence
 
-from .emissions import Mode
+from .emissions import Mode, TripRecord
 from .ledger import HASH_ALGORITHM
-from .population import AgeBand, Employment, Gender, Occupation, StudentStatus
-from .simulator import SimulationResult
+from .population import AgeBand, Employment, Gender, Occupation, StudentStatus, SurveyPerson
 from .tokens import TokenAmount
+
+
+@dataclass(frozen=True)
+class DayRecord:
+    """What the reports read of a day.  A finished simulation result carries
+    the same four fields and can be passed as is."""
+
+    persons: Sequence[SurveyPerson]
+    trips: Sequence[TripRecord]
+    trip_costs: Mapping[str, tuple[float, TokenAmount]]  # trip_id -> (grams, tokens)
+    grants: Mapping[str, TokenAmount]  # user_id -> grant
 
 
 class AnalyticsError(Exception):
@@ -161,7 +172,7 @@ class TripReport:
     rows: list[TripRow]
 
 
-def _per_user(result: SimulationResult):
+def _per_user(result: DayRecord):
     """(net centi, trip count, distance, mode counts) per user id."""
     stats = {
         p.user_id: {"net": result.grants[p.user_id].centi, "trips": 0,
@@ -178,7 +189,7 @@ def _per_user(result: SimulationResult):
     return stats
 
 
-def leftovers_by(result: SimulationResult, dimension: str) -> LeftoverReport:
+def leftovers_by(result: DayRecord, dimension: str) -> LeftoverReport:
     """Mean net position, trip count, distance and mode shares per group."""
     if dimension not in DIMENSIONS:
         raise UnknownDimension(dimension)
@@ -196,7 +207,7 @@ def leftovers_by(result: SimulationResult, dimension: str) -> LeftoverReport:
     return LeftoverReport(dimension, list(rows.values()))
 
 
-def trip_breakdown(result: SimulationResult, breakdown: str) -> TripReport:
+def trip_breakdown(result: DayRecord, breakdown: str) -> TripReport:
     if breakdown not in BREAKDOWNS:
         raise UnknownBreakdown(breakdown)
     costs = result.trip_costs
@@ -253,7 +264,7 @@ def trip_breakdown(result: SimulationResult, breakdown: str) -> TripReport:
     return TripReport(breakdown, rows)
 
 
-def all_reports(result: SimulationResult) -> tuple[list[LeftoverReport], list[TripReport]]:
+def all_reports(result: DayRecord) -> tuple[list[LeftoverReport], list[TripReport]]:
     return ([leftovers_by(result, d) for d in DIMENSIONS],
             [trip_breakdown(result, b) for b in BREAKDOWNS])
 

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analytics, consensus, ledger as ledger_mod, market, population, simulator
+from . import analytics, consensus, emissions, ledger as ledger_mod, market, population, simulator
 from .market import MARKET_NODE
 from .tokens import TokenAmount
 
@@ -75,7 +75,7 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
             population.SchemaError, population.DanglingUserRef,
             consensus.UnsafeFaultConfig, ledger_mod.LedgerError,
-            market.MarketError) as exc:
+            market.MarketError, emissions.EmissionsError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
     throughput = "n/a" if result.throughput is None else f"{result.throughput:.2f}"
     print(f"users={len(result.persons)} trips={len(result.trips)} "
@@ -118,33 +118,15 @@ def cmd_report(args) -> int:
 
     try:
         persons, trips, _ = population.load_population(persons_file, trips_file)
-        from .emissions import BusChargingPolicy, EmissionFactorTable, PricePolicy, trip_cost
-        table = (EmissionFactorTable.from_csv(Path(cfg.factors_file).read_text())
-                 if cfg.factors_file else EmissionFactorTable.default())
-        price = PricePolicy(cfg.price_cad_per_tonne)
-        bus = BusChargingPolicy(cfg.seats_per_bus, cfg.operator_pays_remainder)
-        costs = {t.trip_id: trip_cost(t, table, bus, price) for t in trips}
-        addr_of = {p.user_id: ledger_mod.derive_address(p.user_id) for p in persons}
-        addr_to_user = {a: u for u, a in addr_of.items()}
-        grants = {p.user_id: TokenAmount.zero() for p in persons}
-        for tx in chain.chain[0].txs:
-            if tx.receiver in addr_to_user:
-                grants[addr_to_user[tx.receiver]] = tx.amount
-        from .market import Market
-        result = simulator.SimulationResult(
-            config=cfg, ledger=chain, persons=persons, trips=trips,
-            trip_costs=costs, grants=grants, user_addresses=addr_of,
-            cap=TokenAmount(sum(g.centi for g in grants.values())),
-            latencies_ms=[], submitted=0, committed=0,
-            tx_per_minute=[0] * simulator.MINUTES_PER_DAY,
-            consensus_trace=[], equivocations=[], rejects=[],
-            market=Market(price),
-        )
-        leftovers, trip_reports = analytics.all_reports(result)
+        costs, _, _ = simulator.price_trips(cfg, trips)
+        addresses = {p.user_id: ledger_mod.derive_address(p.user_id) for p in persons}
+        day = analytics.DayRecord(persons, trips, costs,
+                                  simulator.genesis_grants(addresses, chain.chain[0].txs))
+        leftovers, trip_reports = analytics.all_reports(day)
         out_dir = Path(args.out) if args.out else run_dir / "reports"
         paths = analytics.export_reports(leftovers, trip_reports, out_dir, manifest)
     except (OSError, ValueError, population.SchemaError, population.DanglingUserRef,
-            analytics.AnalyticsError) as exc:
+            analytics.AnalyticsError, emissions.EmissionsError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
     print(f"wrote {len(paths)} files to {out_dir}")
     return EXIT_OK

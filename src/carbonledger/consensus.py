@@ -1,11 +1,11 @@
 """Byzantine-fault-tolerant block selection over a simulated message network.
 
-One round commits one block.  A rotating window of validators proposes,
-every validator votes for the lowest candidate hash it saw by the proposal
-deadline, and a block commits once votes from a 2/3 supermajority land.
-Everything runs on a single-threaded deterministic scheduler: given the
-same seed, config and pool, the delivery schedule and the committed chain
-are bit-identical.
+One round commits one block.  A single proposer, rotating with the round
+number, proposes; every validator votes for the proposal it received by the
+proposal deadline, and a block commits once votes from a 2/3 supermajority
+land.  Everything runs on a single-threaded deterministic scheduler: given
+the same seed, config and pool, the delivery schedule and the committed
+chain are bit-identical.
 
 Timing model (all simulated; link delays configured in milliseconds):
 
@@ -29,9 +29,8 @@ per voter is counted, later conflicting ones are kept as evidence.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -45,16 +44,13 @@ from .ledger import (
     digest,
     quorum_size,
     max_faulty,
+    with_signatures,
 )
 
 DELAY_FACTOR = 5.0  # slowdown applied to a `delay` node's outgoing messages
 
 
 class ConsensusError(Exception):
-    pass
-
-
-class HeightMismatch(ConsensusError):
     pass
 
 
@@ -76,14 +72,11 @@ class Behavior(Enum):
 @dataclass(frozen=True)
 class ConsensusConfig:
     n_active: int
-    proposal_window: int = 1
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_active < 1:
             raise ValueError("need at least one active node")
-        if self.proposal_window < 1:
-            raise ValueError("proposal window must be >= 1")
 
     @property
     def quorum(self) -> int:
@@ -126,6 +119,11 @@ class NetworkModel:
     @property
     def p99_delay_ms(self) -> float:
         return self.delay_ms_low + 0.99 * (self.delay_ms_high - self.delay_ms_low)
+
+    def deadlines(self, start: float) -> tuple[float, float]:
+        """(proposal deadline, round deadline) of a round started at `start`."""
+        proposal = start + self.delay_ms_high / 1000.0
+        return proposal, proposal + 2 * self.p99_delay_ms / 1000.0
 
     def check_fault_bound(self, n_active: int) -> None:
         if len(self.byzantine) > max_faulty(n_active) and not self.unsafe_faults:
@@ -186,43 +184,38 @@ class Decision:
     votes_counted: int
 
 
-def order_proposals(candidates: Sequence[Block], round_no: int,
-                    config: ConsensusConfig) -> Block:
-    """Deterministic leader selection: lowest block hash wins.
+@dataclass(frozen=True)
+class Tally:
+    """One node's count of the votes that reached it."""
 
-    Every honest node given the same candidate set picks the same block;
-    the round number only rotates the proposer window upstream.
+    commit_time: Optional[float]  # arrival of the vote that made a quorum
+    block_hash: Optional[str]  # the first hash to reach quorum, if any
+    voters: tuple[str, ...]  # that hash's voters at that instant, in arrival order
+    best: int  # the largest count any hash reached, counting on past quorum
+
+
+def tally_votes(arrivals: Sequence[tuple[float, Vote]], quorum: int) -> Tally:
+    """Count the first vote per voter, in arrival order, and find quorum.
+
+    Ties in arrival time are broken by voter and then by hash.  Adversarial
+    inputs never fault: an equivocator's later votes are ignored, and a
+    split vote yields no hash.
     """
-    if not candidates:
-        raise ValueError("no candidates")
-    heights = {c.height for c in candidates}
-    if len(heights) != 1:
-        raise HeightMismatch(f"candidate heights differ: {sorted(heights)}")
-    return min(candidates, key=lambda b: b.block_hash)
-
-
-def cast_and_tally(votes: Sequence[Vote], config: ConsensusConfig) -> Decision:
-    """Count at most one vote per voter (first seen) and decide.
-
-    Adversarial inputs never fault: equivocating duplicates are ignored
-    after the first, and a split vote yields ``no_quorum``.
-    """
-    rounds = {v.round for v in votes}
-    if len(rounds) > 1:
-        raise ValueError(f"votes span rounds {sorted(rounds)}")
-    round_no = votes[0].round if votes else 0
-    counted: dict[str, str] = {}
-    tally: dict[str, int] = {}
-    for vote in votes:
+    counted: set[str] = set()
+    tally: dict[str, list[str]] = {}
+    commit: tuple[Optional[float], Optional[str], tuple[str, ...]] = (None, None, ())
+    best = 0
+    for t, vote in sorted(arrivals, key=lambda item: (item[0], item[1].voter,
+                                                      item[1].block_hash)):
         if vote.voter in counted:
             continue
-        counted[vote.voter] = vote.block_hash
-        tally[vote.block_hash] = tally.get(vote.block_hash, 0) + 1
-        if tally[vote.block_hash] >= config.quorum:
-            return Decision(round_no, "committed", vote.block_hash,
-                            tally[vote.block_hash])
-    best = max(tally.values(), default=0)
-    return Decision(round_no, "no_quorum", None, best)
+        counted.add(vote.voter)
+        voters = tally.setdefault(vote.block_hash, [])
+        voters.append(vote.voter)
+        best = max(best, len(voters))
+        if len(voters) >= quorum and commit[1] is None:
+            commit = (t, vote.block_hash, tuple(voters))
+    return Tally(*commit, best)
 
 
 @dataclass
@@ -280,72 +273,59 @@ def run_round(
         raise ConsensusError(f"ledger has {n} validators, config says {config.n_active}")
     network.check_fault_bound(n)
     head = ledger.head
+    proposer = validators[round_no % n]
+    prop_deadline, round_deadline = network.deadlines(start_time)
 
-    window = min(config.proposal_window, n)
-    proposers = [validators[(round_no + i) % n] for i in range(window)]
-    primary = proposers[0]
-
-    prop_deadline = start_time + network.delay_ms_high / 1000.0
-    round_deadline = prop_deadline + 2 * network.p99_delay_ms / 1000.0
-
-    # --- proposal phase ---
+    # --- proposal phase: an equivocating proposer sends every other
+    # validator a conflicting variant ---
     messages: list[Message] = []
-    proposals_by_hash: dict[str, Block] = {}
-    for p in proposers:
-        beh = network.behavior(p)
-        if beh is Behavior.SILENT:
-            continue
-        block = build_block(pool, p, head)
-        proposals_by_hash[block.block_hash] = block
-        variant = _equivocation_variant(pool, p, head) if beh is Behavior.EQUIVOCATE else None
-        if variant is not None:
-            proposals_by_hash[variant.block_hash] = variant
+    proposals: dict[str, Block] = {}
+    beh = network.behavior(proposer)
+    if beh is not Behavior.SILENT:
+        block = build_block(pool, proposer, head)
+        variant = (_equivocation_variant(pool, proposer, head)
+                   if beh is Behavior.EQUIVOCATE else None)
+        proposals = {b.block_hash: b for b in (block, variant) if b is not None}
         for i, dst in enumerate(validators):
             payload = variant if (variant is not None and i % 2 == 1) else block
-            messages.append(Message(p, dst, start_time, "proposal", payload))
+            messages.append(Message(proposer, dst, start_time, "proposal", payload))
     prop_deliveries = simulate_network(messages, network, rng)
 
-    candidates: dict[str, list[Block]] = {v: [] for v in validators}
-    # blocks are frozen, so every delivery of one proposal object gets the
-    # verdict of its first check; `prop_deliveries` keeps every payload alive
-    # for the round, so no id is reused
-    verdicts: dict[int, bool] = {}
+    # each validator receives at most one proposal; each distinct proposal is
+    # checked once however many validators receive it
+    candidate: dict[str, Block] = {}
+    verdicts: dict[str, bool] = {}
     for d in prop_deliveries:
         if d.deliver_time is None or d.deliver_time > prop_deadline:
             continue
         block = d.message.payload
-        if d.message.src != block.creator or block.creator not in proposers:
-            continue
-        valid = verdicts.get(id(block))
+        valid = verdicts.get(block.block_hash)
         if valid is None:
-            valid = verdicts[id(block)] = _proposal_valid(block, ledger)
-        if not valid:
-            continue
-        if block not in candidates[d.message.dst]:
-            candidates[d.message.dst].append(block)
+            valid = verdicts[block.block_hash] = _proposal_valid(block, ledger)
+        if valid:
+            candidate[d.message.dst] = block
 
     # --- vote phase ---
     vote_msgs: list[Message] = []
-    cast_by: set[str] = set()
+    n_voters = 0
     equivocations: list[tuple[str, int, tuple[str, ...]]] = []
     for v in validators:
         beh = network.behavior(v)
-        if beh is Behavior.SILENT or not candidates[v]:
+        if beh is Behavior.SILENT or v not in candidate:
             continue
-        choice = order_proposals(candidates[v], round_no, config)
-        votes = [make_vote(v, round_no, choice.block_hash)]
+        choice = candidate[v].block_hash
+        votes = [make_vote(v, round_no, choice)]
         if beh is Behavior.EQUIVOCATE:
             fake = digest("equivocation", v, str(round_no))
             votes.append(make_vote(v, round_no, fake))
-            equivocations.append((v, round_no, (choice.block_hash, fake)))
-        cast_by.add(v)
+            equivocations.append((v, round_no, (choice, fake)))
+        n_voters += 1
         for vote in votes:
             for dst in validators:
                 vote_msgs.append(Message(v, dst, prop_deadline, "vote", vote))
     vote_deliveries = simulate_network(vote_msgs, network, rng)
 
     # --- per-node tallies ---
-    commits: dict[str, tuple[float, str, tuple[str, ...]]] = {}
     on_time: dict[str, list[tuple[float, Vote]]] = {v: [] for v in validators}
     any_late_or_dropped = False
     for d in vote_deliveries:
@@ -353,83 +333,51 @@ def run_round(
             any_late_or_dropped = True
         else:
             on_time[d.message.dst].append((d.deliver_time, d.message.payload))
+    honest_commits: dict[str, Tally] = {}
     max_count = 0
     for node in validators:
-        arrivals = sorted(
-            on_time[node],
-            key=lambda item: (item[0], item[1].voter, item[1].block_hash),
-        )
-        counted: dict[str, str] = {}
-        tally: dict[str, list[str]] = {}
-        for t, vote in arrivals:
-            if vote.voter in counted:
-                continue
-            counted[vote.voter] = vote.block_hash
-            voters = tally.setdefault(vote.block_hash, [])
-            voters.append(vote.voter)
-            max_count = max(max_count, len(voters))
-            if len(voters) >= config.quorum and node not in commits:
-                commits[node] = (t, vote.block_hash, tuple(voters))
+        tally = tally_votes(on_time[node], config.quorum)
+        max_count = max(max_count, tally.best)
+        if tally.block_hash is not None and network.behavior(node) is None:
+            honest_commits[node] = tally
 
-    honest_commits = {
-        node: c for node, c in commits.items() if network.behavior(node) is None
-    }
-    fork_hashes = tuple(sorted({h for _, h, _ in honest_commits.values()}))
+    fork_hashes = tuple(sorted({c.block_hash for c in honest_commits.values()}))
     if len(fork_hashes) > 1 and not network.unsafe_faults:
         raise SafetyViolation(
             f"round {round_no}: distinct commits {fork_hashes} within fault bound"
         )
 
+    # no_quorum: the cast votes could never have formed a quorum, they all
+    # arrived and still split, or a fabricated hash won in an unsafe run;
+    # round_timeout: deliveries were lost or late
+    outcome, block, anchor = "no_quorum", None, None
     if not honest_commits:
-        # no_quorum: the cast votes could never have formed a quorum, or they
-        # all arrived and still split; round_timeout: deliveries were lost or late
-        if len(cast_by) < config.quorum or not any_late_or_dropped:
-            outcome = "no_quorum"
-        else:
+        if n_voters >= config.quorum and any_late_or_dropped:
             outcome = "round_timeout"
-        return RoundResult(
-            Decision(round_no, outcome, None, max_count),
-            None, ledger, None, primary, fork_hashes, equivocations,
-            len(messages) + len(vote_msgs),
-            sum(1 for d in prop_deliveries + vote_deliveries if d.deliver_time is None),
-        )
+    else:
+        if len(fork_hashes) == 1:
+            anchors = honest_commits
+        else:  # unsafe demonstration run: earliest commit wins the accounting
+            node = min(honest_commits, key=lambda k: honest_commits[k].commit_time)
+            anchors = {node: honest_commits[node]}
+        block = proposals.get(next(iter(anchors.values())).block_hash)
+        if block is not None:
+            # the commit instant is taken at the winning block's creator when
+            # it committed itself, otherwise at the earliest honest observer
+            anchor = anchors.get(block.creator) or min(
+                anchors.items(), key=lambda kv: (kv[1].commit_time, kv[0], kv[1].voters))[1]
 
-    # anchor the commit instant at the winning block's creator when it
-    # committed itself, otherwise at the earliest honest observer
-    winner_hash = fork_hashes[0]
-    if len(fork_hashes) == 1:
-        anchor_items = [
-            (t, node, voters) for node, (t, h, voters) in honest_commits.items()
-            if h == winner_hash
-        ]
-    else:  # unsafe demonstration run: earliest commit wins the accounting
-        earliest = min(honest_commits.items(), key=lambda kv: kv[1][0])
-        winner_hash = earliest[1][1]
-        anchor_items = [(earliest[1][0], earliest[0], earliest[1][2])]
-    block = proposals_by_hash.get(winner_hash)
-    if block is None:  # fabricated hash won in an unsafe run: nothing to apply
-        return RoundResult(
-            Decision(round_no, "no_quorum", None, max_count),
-            None, ledger, None, primary, fork_hashes, equivocations,
-            len(messages) + len(vote_msgs),
-            sum(1 for d in prop_deliveries + vote_deliveries if d.deliver_time is None),
-        )
-    leader_pick = [it for it in anchor_items if it[1] == block.creator]
-    commit_time, _, quorum_voters = (
-        leader_pick[0] if leader_pick else min(anchor_items)
-    )
-
-    final = replace(
-        block,
-        signatures=tuple(sorted(
-            (addr, block_attestation(addr, winner_hash)) for addr in quorum_voters
-        )),
-    )
-    new_ledger = ledger.apply_block(final)
-    decision = Decision(round_no, "committed", winner_hash, len(quorum_voters))
+    final, new_ledger = None, ledger
+    if anchor is None:
+        decision = Decision(round_no, outcome, None, max_count)
+    else:
+        final = with_signatures(block, (
+            (addr, block_attestation(addr, block.block_hash)) for addr in anchor.voters))
+        new_ledger = ledger.apply_block(final)
+        decision = Decision(round_no, "committed", block.block_hash, len(anchor.voters))
     return RoundResult(
-        decision, final, new_ledger, commit_time, primary, fork_hashes, equivocations,
-        len(messages) + len(vote_msgs),
+        decision, final, new_ledger, None if anchor is None else anchor.commit_time,
+        proposer, fork_hashes, equivocations, len(messages) + len(vote_msgs),
         sum(1 for d in prop_deliveries + vote_deliveries if d.deliver_time is None),
     )
 
@@ -475,10 +423,11 @@ class ConsensusEngine:
             )
             self.round_no += 1
             self.equivocations.extend(result.equivocations)
+            _, deadline = self.network.deadlines(start)
             latency_ms = (
                 (result.commit_time - submit_time) * 1000.0
                 if result.commit_time is not None else
-                (self._round_deadline(start) - submit_time) * 1000.0
+                (deadline - submit_time) * 1000.0
             )
             self.trace.append(TraceRow(
                 result.decision.round, result.proposer,
@@ -487,42 +436,8 @@ class ConsensusEngine:
             ))
             if result.decision.outcome == "committed":
                 return result, result.ledger, result.commit_time
-            start = self._round_deadline(start)
+            start = deadline
         return None, ledger, start
-
-    def _round_deadline(self, start: float) -> float:
-        return (start + self.network.delay_ms_high / 1000.0
-                + 2 * self.network.p99_delay_ms / 1000.0)
-
-
-# --- fault scenario file ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaultScenario:
-    n_active: int
-    delays_ms: tuple[float, float]
-    drop_probability: float
-    byzantine: tuple[tuple[int, Behavior], ...]  # (validator index, behavior)
-    seed: int
-
-
-def load_fault_scenario(text: str) -> FaultScenario:
-    """Parse the JSON scenario format:
-    {"n_active": 4, "delays_ms": [10, 20], "drop_probability": 0.0,
-     "byzantine": [{"node": 1, "behavior": "equivocate"}], "seed": 7}
-    """
-    obj = json.loads(text)
-    return FaultScenario(
-        n_active=int(obj["n_active"]),
-        delays_ms=(float(obj["delays_ms"][0]), float(obj["delays_ms"][1])),
-        drop_probability=float(obj.get("drop_probability", 0.0)),
-        byzantine=tuple(
-            (int(b["node"]), Behavior(b["behavior"]))
-            for b in obj.get("byzantine", [])
-        ),
-        seed=int(obj.get("seed", 0)),
-    )
 
 
 def export_trace(rows: Sequence[TraceRow]) -> str:

@@ -241,17 +241,6 @@ def tokens_for_emissions(grams: float, price: PricePolicy) -> TokenAmount:
     return TokenAmount(int(centi))
 
 
-def split_tokens_by_occupancy(total_g: float, passengers: int,
-                              price: PricePolicy) -> list[TokenAmount]:
-    """Largest-remainder split of a vehicle trip's token cost across its
-    passengers; shares always sum to the whole-trip conversion exactly."""
-    if passengers < 1:
-        raise ZeroPassengers(str(passengers))
-    total = tokens_for_emissions(total_g, price)
-    base, rem = divmod(total.centi, passengers)
-    return [TokenAmount(base + (1 if i < rem else 0)) for i in range(passengers)]
-
-
 def trip_cost(trip: TripRecord, table: EmissionFactorTable,
               bus_policy: BusChargingPolicy, price: PricePolicy
               ) -> tuple[float, TokenAmount]:

@@ -20,6 +20,12 @@ same history is read or any of them is extended; copy it
 (`dict(ledger.balances)`) to keep it longer.  A failed `apply_block`
 writes nothing.
 
+Wallet state is only ever changed by `fold_transaction`, which folds one
+transaction into a balance map: genesis, `apply_block`, `validate_pool`,
+`verify_chain`, `import_chain` and the simulator's pending batch all use
+it.  It never refuses a transfer; each caller checks the sender's balance
+as it needs to (reject the transaction, raise, or report a violation).
+
 Transaction and block hashes are SHA-256 over canonical field strings.
 Attestations (transaction signatures, block signatures, votes) are keyed
 digests bound to the signer's address — a desk-scale stand-in that keeps
@@ -166,12 +172,6 @@ def make_transaction(
     )
     tx_id = tx.payload_digest()
     return replace(tx, tx_id=tx_id, signature=sign_payload(sender, tx_id))
-
-
-@dataclass(frozen=True)
-class Wallet:
-    owner: str
-    balance: TokenAmount
 
 
 @dataclass(frozen=True)
@@ -363,9 +363,6 @@ class Ledger:
     def balance(self, address: str) -> TokenAmount:
         return TokenAmount(self.balances.get(address, 0))
 
-    def wallets(self) -> dict[str, Wallet]:
-        return {a: Wallet(a, TokenAmount(c)) for a, c in self.balances.items()}
-
     def known_addresses(self) -> set[str]:
         known = set(self.registry)
         for block in self.chain:
@@ -376,27 +373,15 @@ class Ledger:
 
     # -- stateful validation --
 
-    def validate_stateful(self, tx: TokenTransaction) -> ValidationResult:
-        """Balance and replay checks; read-only."""
-        if tx.tx_id in self.tx_index:
-            return _reject(DUPLICATE_TRANSACTION, f"tx {tx.tx_id[:12]} already committed")
-        if tx.kind is not TxKind.ALLOCATION:
-            have = self.balances.get(tx.sender, 0)
-            if have < tx.amount.centi:
-                return _reject(
-                    INSUFFICIENT_TOKENS,
-                    f"balance {TokenAmount(have)}, requested {tx.amount}",
-                )
-        return ACCEPT
-
     def validate_pool(
         self, pool: Sequence[TokenTransaction]
     ) -> tuple[list[TokenTransaction], list[tuple[TokenTransaction, ValidationResult]]]:
-        """Sequential validation: later transactions see earlier ones' effects.
+        """Stateless checks, then replay and balance checks, in order: later
+        transactions see earlier ones' effects.  Read-only.
 
         Returns (accepted, rejected-with-reason).
         """
-        scratch = _Overlay(self.balances)
+        scratch = Overlay(self.balances)
         tx_index = self.tx_index
         seen = set()
         accepted: list[TokenTransaction] = []
@@ -414,7 +399,7 @@ class Ledger:
                             f"balance {TokenAmount(have)}, requested {tx.amount}",
                         )
             if res.ok:
-                _apply_tx(scratch, tx)
+                fold_transaction(scratch, tx)
                 seen.add(tx.tx_id)
                 accepted.append(tx)
             else:
@@ -444,13 +429,17 @@ class Ledger:
             )
         self._reroot()
         balances, tx_index, blocks = self._balances, self._tx_index, self._blocks
-        written = _Overlay(balances)
+        written = Overlay(balances)
         indexed: dict[str, tuple[int, int]] = {}
         minted = 0
         for pos, tx in enumerate(block.txs):
             if tx.tx_id in tx_index or tx.tx_id in indexed:
                 raise DuplicateCommit(tx.tx_id)
-            minted += _apply_tx(written, tx)
+            minted += fold_transaction(written, tx)
+            if tx.kind is not TxKind.ALLOCATION and written[tx.sender] < 0:
+                raise NegativeBalanceWouldResult(
+                    f"{tx.sender} would hold {TokenAmount(written[tx.sender])} "
+                    f"after paying {tx.amount}")
             indexed[tx.tx_id] = (block.height, pos)
         # conservation is asserted on every commit: transfers cannot create
         # or destroy tokens, only allocations mint.  This value's wallets sum
@@ -512,8 +501,9 @@ def _swap(diff: _Diff, balances: dict, tx_index: dict, blocks: list) -> _Diff:
             length, undo_tail)
 
 
-class _Overlay(dict):
-    """Balances written by a pending pool or block over read-only base balances."""
+class Overlay(dict):
+    """Balances written by a pending pool, block or settlement batch over
+    read-only base balances."""
 
     __slots__ = ("base",)
 
@@ -524,20 +514,22 @@ class _Overlay(dict):
     def get(self, key, default=None):
         return self[key] if key in self else self.base.get(key, default)
 
+    def balance(self, address: str) -> TokenAmount:
+        return TokenAmount(self.get(address, 0))
 
-def _apply_tx(balances: dict[str, int], tx: TokenTransaction) -> int:
-    """Apply one transaction to a balance map; returns centi-tokens minted."""
-    if tx.kind is TxKind.ALLOCATION:
-        balances[tx.receiver] = balances.get(tx.receiver, 0) + tx.amount.centi
-        return tx.amount.centi
-    have = balances.get(tx.sender, 0)
-    if have < tx.amount.centi:
-        raise NegativeBalanceWouldResult(
-            f"{tx.sender} holds {TokenAmount(have)}, tx needs {tx.amount}"
-        )
-    balances[tx.sender] = have - tx.amount.centi
-    balances[tx.receiver] = balances.get(tx.receiver, 0) + tx.amount.centi
-    return 0
+
+def fold_transaction(balances: dict[str, int], tx: TokenTransaction) -> int:
+    """Fold one transaction into a balance map; returns centi-tokens minted.
+
+    Always writes and never raises: a transfer may leave its sender below
+    zero, and each caller decides what that means.
+    """
+    centi = tx.amount.centi
+    minted = tx.kind is TxKind.ALLOCATION
+    if not minted:
+        balances[tx.sender] = balances.get(tx.sender, 0) - centi
+    balances[tx.receiver] = balances.get(tx.receiver, 0) + centi
+    return centi if minted else 0
 
 
 def build_block(
@@ -579,7 +571,7 @@ def create_genesis(
     tx_index: dict[str, tuple[int, int]] = {}
     minted = 0
     for pos, tx in enumerate(txs):
-        minted += _apply_tx(balances, tx)
+        minted += fold_transaction(balances, tx)
         tx_index[tx.tx_id] = (0, pos)
     return Ledger(
         (genesis,), balances, tx_index, registry,
@@ -662,18 +654,14 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
             if tx.tx_id in seen_tx:
                 found.append(Violation(i, "duplicate_tx", tx.tx_id[:12]))
             seen_tx.add(tx.tx_id)
-            # tolerant fold so one bad amount does not mask later violations
-            if tx.kind is TxKind.ALLOCATION:
-                balances[tx.receiver] = balances.get(tx.receiver, 0) + tx.amount.centi
-                minted += tx.amount.centi
-            else:
-                balances[tx.sender] = balances.get(tx.sender, 0) - tx.amount.centi
-                balances[tx.receiver] = balances.get(tx.receiver, 0) + tx.amount.centi
-                if balances[tx.sender] < 0:
-                    found.append(
-                        Violation(i, "negative_balance",
-                                  f"{tx.sender} dips to {TokenAmount(balances[tx.sender])}")
-                    )
+            # a negative balance is reported and the fold goes on, so one bad
+            # amount does not mask later violations
+            minted += fold_transaction(balances, tx)
+            if tx.kind is not TxKind.ALLOCATION and balances[tx.sender] < 0:
+                found.append(
+                    Violation(i, "negative_balance",
+                              f"{tx.sender} dips to {TokenAmount(balances[tx.sender])}")
+                )
 
     if sum(balances.values()) != minted:
         found.append(Violation(len(chain) - 1, "conservation_broken",
@@ -771,12 +759,7 @@ def import_chain(text: str) -> Ledger:
     minted = 0
     for block in blocks:
         for pos, tx in enumerate(block.txs):
-            if tx.kind is TxKind.ALLOCATION:
-                balances[tx.receiver] = balances.get(tx.receiver, 0) + tx.amount.centi
-                minted += tx.amount.centi
-            else:
-                balances[tx.sender] = balances.get(tx.sender, 0) - tx.amount.centi
-                balances[tx.receiver] = balances.get(tx.receiver, 0) + tx.amount.centi
+            minted += fold_transaction(balances, tx)
             tx_index[tx.tx_id] = (block.height, pos)
     return Ledger(tuple(blocks), balances, tx_index, {}, validators, minted)
 

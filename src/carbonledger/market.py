@@ -12,16 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .emissions import (
-    BusChargingPolicy,
-    EmissionFactorTable,
-    PricePolicy,
-    TripRecord,
-    PER_SEAT_MODES,
-    trip_cost,
-)
+from .emissions import BusChargingPolicy, PricePolicy, TripRecord, PER_SEAT_MODES
 from .ledger import Ledger, NodeIdentity, Role, TokenTransaction, TxKind, make_transaction
 from .tokens import TokenAmount, total
 
@@ -49,21 +42,23 @@ class MarketPoolExhausted(MarketError):
 @dataclass(frozen=True)
 class CapPolicy:
     cap: TokenAmount
-    allocation: str = "equal_split"
-    reduction_rate: float = 0.0
 
     def __post_init__(self):
         if self.cap.centi < 0:
             raise ValueError("cap must be non-negative")
-        if not (0 <= self.reduction_rate < 1):
-            raise ValueError("reduction_rate must be in [0, 1)")
 
 
-def compute_cap(trips: Sequence[TripRecord], table: EmissionFactorTable,
-                bus_policy: BusChargingPolicy, price: PricePolicy) -> CapPolicy:
-    """Cap = token sum of every person-trip inside the system boundary."""
-    cap = total(trip_cost(t, table, bus_policy, price)[1] for t in trips)
-    return CapPolicy(cap=cap)
+def compute_cap(trip_costs: Mapping[str, tuple[float, TokenAmount]]) -> CapPolicy:
+    """Cap = token sum of every person-trip inside the system boundary,
+    given each trip's (grams, tokens) cost."""
+    return CapPolicy(cap=total(cost for _, cost in trip_costs.values()))
+
+
+def operator_remainder(occupied_seats: float, per_seat: TokenAmount,
+                       bus_policy: BusChargingPolicy) -> tuple[float, TokenAmount]:
+    """Empty seats on one bus trip and their tokens at the per-seat cost."""
+    empty = max(0.0, bus_policy.seats_per_bus - occupied_seats)
+    return empty, TokenAmount(round(per_seat.centi * empty))
 
 
 def equal_split_grants(cap: TokenAmount, n_users: int) -> list[TokenAmount]:
@@ -106,9 +101,8 @@ class Market:
     pool change is backed by a committed transaction.
     """
 
-    def __init__(self, price: PricePolicy, freeze_resale: bool = False):
+    def __init__(self, price: PricePolicy):
         self.price = price
-        self.freeze_resale = freeze_resale
         self.address = MARKET_NODE.address
         self.retirement_address = RETIREMENT_NODE.address
         self.issuer_address = ISSUER_NODE.address
@@ -143,13 +137,6 @@ class Market:
     def pool(self, ledger: Ledger) -> TokenAmount:
         return ledger.balance(self.address)
 
-    def available_for_sale(self, ledger: Ledger) -> TokenAmount:
-        """Sellable pool; with resale frozen, bought-back tokens stay locked."""
-        balance = self.pool(ledger)
-        if self.freeze_resale:
-            return balance - self.sold
-        return balance
-
     # -- operations --
 
     def settle_trip(self, user_address: str, cost: TokenAmount, ledger: Ledger,
@@ -164,9 +151,9 @@ class Market:
         balance = ledger.balance(user_address)
         if balance < cost:
             shortfall = cost - balance
-            if self.available_for_sale(ledger) < shortfall:
+            if self.pool(ledger) < shortfall:
                 raise MarketPoolExhausted(
-                    f"pool {self.available_for_sale(ledger)} cannot cover {shortfall}"
+                    f"pool {self.pool(ledger)} cannot cover {shortfall}"
                 )
             txs.append(make_transaction(
                 now, self.address, user_address, shortfall, TxKind.PURCHASE,
@@ -191,25 +178,20 @@ class Market:
                                 TxKind.SALE, description="surplus sale")
 
     def operator_settlement(self, trip: TripRecord, occupied_seats: float,
-                            bus_policy: BusChargingPolicy,
-                            table: EmissionFactorTable, ledger: Ledger,
-                            now: float) -> Optional[TokenTransaction]:
-        """Charge the operator for empty bus seats, when the policy says so.
+                            per_seat: TokenAmount, bus_policy: BusChargingPolicy,
+                            ledger: Ledger, now: float) -> Optional[TokenTransaction]:
+        """Charge the operator for empty bus seats, when the policy says so;
+        `per_seat` is the trip's token cost per seat.
 
         The tokens are drawn from the market pool straight into retirement;
         the operator's side is settled in fiat bookkeeping.
         """
         if not bus_policy.operator_pays_remainder or trip.mode not in PER_SEAT_MODES:
             return None
-        remainder = max(0.0, bus_policy.seats_per_bus - occupied_seats)
-        if remainder == 0.0:
+        remainder, amount = operator_remainder(occupied_seats, per_seat, bus_policy)
+        if amount.centi == 0:
             return None
-        _, per_seat = trip_cost(trip, table, bus_policy, self.price)
-        centi = round(per_seat.centi * remainder)
-        if centi <= 0:
-            return None
-        amount = TokenAmount(centi)
-        if self.available_for_sale(ledger) < amount:
+        if self.pool(ledger) < amount:
             raise MarketPoolExhausted(f"pool cannot cover operator remainder {amount}")
         return make_transaction(
             now, self.address, self.retirement_address, amount,

@@ -17,7 +17,7 @@ import json
 import statistics
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 from .consensus import Behavior, ConsensusConfig, ConsensusEngine, NetworkModel, TraceRow, export_trace
 from .emissions import (
@@ -32,12 +32,13 @@ from .ledger import (
     HASH_ALGORITHM,
     Ledger,
     NodeIdentity,
+    Overlay,
     Role,
     TokenTransaction,
-    TxKind,
     create_genesis,
     export_chain,
     export_wallets,
+    fold_transaction,
 )
 from .market import (
     CapPolicy,
@@ -46,6 +47,8 @@ from .market import (
     MARKET_NODE,
     OPERATOR_NODE,
     RETIREMENT_NODE,
+    compute_cap,
+    operator_remainder,
 )
 from .population import (
     RejectedRow,
@@ -55,7 +58,7 @@ from .population import (
     load_profile,
     write_population,
 )
-from .tokens import TokenAmount
+from .tokens import TokenAmount, total
 
 MINUTES_PER_DAY = 1440
 
@@ -80,7 +83,6 @@ class SimulationConfig:
     cap_mode: str = "computed"  # "computed" | "explicit"
     explicit_cap_tokens: Optional[str] = None
     initial_pool_tokens: Optional[str] = None
-    freeze_resale: bool = False
     persons_file: Optional[str] = None
     trips_file: Optional[str] = None
     factors_file: Optional[str] = None
@@ -178,23 +180,30 @@ def _settlement_description(trip: TripRecord) -> str:
     return f"trip:{trip.trip_id};mode:{trip.mode.value};vehicle:{vehicle}"
 
 
-class _PendingView:
-    """Balance view of a ledger plus not-yet-committed batch transactions,
-    so settlements built into one block see each other's effects."""
+def price_trips(config: SimulationConfig, trips: Sequence[TripRecord]
+                ) -> tuple[dict[str, tuple[float, TokenAmount]], BusChargingPolicy, PricePolicy]:
+    """Each trip's (grams, tokens) cost under the config's factor table, bus
+    policy and price; returns the costs with that bus policy and price."""
+    if config.factors_file:
+        table = EmissionFactorTable.from_csv(Path(config.factors_file).read_text())
+    else:
+        table = EmissionFactorTable.default()
+    price = PricePolicy(config.price_cad_per_tonne)
+    bus_policy = BusChargingPolicy(config.seats_per_bus, config.operator_pays_remainder)
+    costs = {t.trip_id: trip_cost(t, table, bus_policy, price) for t in trips}
+    return costs, bus_policy, price
 
-    def __init__(self, ledger: Ledger):
-        self._ledger = ledger
-        self._delta: dict[str, int] = {}
 
-    def stage(self, tx: TokenTransaction) -> None:
-        if tx.kind is not TxKind.ALLOCATION:
-            self._delta[tx.sender] = self._delta.get(tx.sender, 0) - tx.amount.centi
-        self._delta[tx.receiver] = self._delta.get(tx.receiver, 0) + tx.amount.centi
-
-    def balance(self, address: str) -> TokenAmount:
-        return TokenAmount(
-            self._ledger.balances.get(address, 0) + self._delta.get(address, 0)
-        )
+def genesis_grants(user_addresses: Mapping[str, str], genesis_txs: Sequence[TokenTransaction]
+                   ) -> dict[str, TokenAmount]:
+    """Each user's grant as minted at genesis, given user_id -> ledger
+    address; zero for anyone genesis skips."""
+    grants = {uid: TokenAmount.zero() for uid in user_addresses}
+    user_of = {a: uid for uid, a in user_addresses.items()}
+    for tx in genesis_txs:
+        if tx.receiver in user_of:
+            grants[user_of[tx.receiver]] = tx.amount
+    return grants
 
 
 def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> SimulationResult:
@@ -212,31 +221,33 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
             child_seed(config.seed, "population"), config.synthetic_users, profile
         )
         rejects = []
-    if config.factors_file:
-        table = EmissionFactorTable.from_csv(Path(config.factors_file).read_text())
-    else:
-        table = EmissionFactorTable.default()
-    price = PricePolicy(config.price_cad_per_tonne)
-    bus_policy = BusChargingPolicy(config.seats_per_bus, config.operator_pays_remainder)
 
-    # per-trip costs and the day's cap
-    trip_costs = {t.trip_id: trip_cost(t, table, bus_policy, price) for t in trips}
+    # per-trip costs, the day's cap and the market pool
+    trip_costs, bus_policy, price = price_trips(config, trips)
     if config.cap_mode == "explicit":
         if config.explicit_cap_tokens is None:
             raise ValueError("cap_mode=explicit needs explicit_cap_tokens")
-        cap = TokenAmount.from_tokens(config.explicit_cap_tokens)
+        cap_policy = CapPolicy(cap=TokenAmount.from_tokens(config.explicit_cap_tokens))
     else:
-        cap = TokenAmount(sum(c.centi for _, c in trip_costs.values()))
-    cap_policy = CapPolicy(cap=cap)
+        cap_policy = compute_cap(trip_costs)
+    cap = cap_policy.cap
+    if config.initial_pool_tokens is not None:
+        initial_pool = TokenAmount.from_tokens(config.initial_pool_tokens)
+    elif config.operator_pays_remainder:
+        # user purchases total at most the cap; the operator also draws every
+        # bus trip's empty seats
+        initial_pool = cap + total(
+            operator_remainder(float(t.passengers), trip_costs[t.trip_id][1], bus_policy)[1]
+            for t in trips if t.mode in PER_SEAT_MODES)
+    else:
+        initial_pool = None
 
     # identities and genesis
     users = [NodeIdentity(p.user_id, Role.USER) for p in persons]
     validators = [NodeIdentity(f"validator-{i}", Role.ACTIVE_VALIDATOR)
                   for i in range(config.n_active_nodes)]
     identities = users + [MARKET_NODE, RETIREMENT_NODE, ISSUER_NODE, OPERATOR_NODE]
-    market = Market(price, freeze_resale=config.freeze_resale)
-    initial_pool = (TokenAmount.from_tokens(config.initial_pool_tokens)
-                    if config.initial_pool_tokens is not None else None)
+    market = Market(price)
     genesis_txs = market.genesis_transactions(
         [u.address for u in users], cap_policy, initial_pool
     )
@@ -244,11 +255,7 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     market.record_committed(genesis_txs)
 
     user_addresses = {p.user_id: u.address for p, u in zip(persons, users)}
-    grants = {p.user_id: TokenAmount.zero() for p in persons}
-    addr_to_user = {a: uid for uid, a in user_addresses.items()}
-    for tx in genesis_txs:
-        if tx.receiver in addr_to_user:
-            grants[addr_to_user[tx.receiver]] = tx.amount
+    grants = genesis_grants(user_addresses, ledger.chain[0].txs)
 
     # consensus
     byz = {}
@@ -297,29 +304,28 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
 
     try:
         batch: list[tuple[TokenTransaction, float]] = []
-        view = _PendingView(ledger)
+        view = Overlay(ledger.balances)
         for trip in sorted(trips, key=lambda t: (t.end_time, t.trip_id)):
             _, cost = trip_costs[trip.trip_id]
             txs = market.settle_trip(
                 user_addresses[trip.user_id], cost, view,
                 now=trip.end_time, description=_settlement_description(trip),
             )
-            if config.operator_pays_remainder and trip.mode in PER_SEAT_MODES:
-                op_tx = market.operator_settlement(
-                    trip, float(trip.passengers), bus_policy, table, view,
-                    now=trip.end_time + 0.002,
-                )
-                if op_tx is not None:
-                    txs.append(op_tx)
+            op_tx = market.operator_settlement(
+                trip, float(trip.passengers), cost, bus_policy, view,
+                now=trip.end_time + 0.002,
+            )
+            if op_tx is not None:
+                txs.append(op_tx)
             if not txs:
                 continue
             for tx in txs:
-                view.stage(tx)
+                fold_transaction(view, tx)
             batch.extend((tx, trip.end_time) for tx in txs)
             if len(batch) >= config.batch_window:
                 flush(batch)
                 batch = []
-                view = _PendingView(ledger)
+                view = Overlay(ledger.balances)
         flush(batch)
     except Exception:
         if out_path is not None:

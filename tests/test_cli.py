@@ -60,11 +60,60 @@ def test_too_many_byzantine_needs_unsafe_flag(tmp_path, capsys):
 
 
 def test_simulate_market_error_exits_2_with_json(tmp_path, capsys):
-    # the default market pool cannot cover the operator's bus remainders
-    cfg = base_config(tmp_path, operator_pays_remainder=True)
+    # an empty market pool cannot cover the day's first deficit purchase
+    cfg = base_config(tmp_path, initial_pool_tokens="0.00")
     code, _, err = run_cli(capsys, "simulate", "-c", str(cfg))
     assert code == 2
     assert json.loads(err.strip())["error"] == "MarketPoolExhausted"
+
+
+def test_operator_pays_remainder_completes_a_day(tmp_path, capsys):
+    # the default pool covers the cap plus the operator's bus remainders
+    cfg = base_config(tmp_path, operator_pays_remainder=True)
+    code, out, _ = run_cli(capsys, "simulate", "-c", str(cfg))
+    assert code == 0
+    assert "throughput=1.00" in out
+    code, _, _ = run_cli(capsys, "verify", str(tmp_path / "out" / "ledger.ndjson"))
+    assert code == 0
+    chain = (tmp_path / "out" / "ledger.ndjson").read_text()
+    assert '"kind":"operator_settlement"' in chain
+
+
+def one_user_population(tmp_path, capsys, trip_rows):
+    run_cli(capsys, "synth", "--seed", "3", "--n-users", "1", "--out", str(tmp_path / "pop"))
+    persons = tmp_path / "pop" / "persons.csv"
+    user_id = persons.read_text().splitlines()[1].split(",")[0]
+    trips = tmp_path / "pop" / "trips.csv"
+    header = trips.read_text().splitlines()[0]
+    trips.write_text("\n".join([header] + [row.format(user=user_id) for row in trip_rows]) + "\n")
+    return persons, trips
+
+
+# a car trip of 4,000 m in 60 s (240 km/h) lies outside every speed band
+TOO_FAST = "t-fast,{user},car,3600.000,3660.000,4000.0,1,"
+
+
+def test_simulate_emission_error_exits_2_with_json(tmp_path, capsys):
+    persons, trips = one_user_population(tmp_path, capsys, [TOO_FAST])
+    cfg = base_config(tmp_path, persons_file=str(persons), trips_file=str(trips))
+    code, _, err = run_cli(capsys, "simulate", "-c", str(cfg))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "MissingFactor"
+
+
+def test_report_emission_error_exits_2_with_json(tmp_path, capsys):
+    persons, trips = one_user_population(
+        tmp_path, capsys, ["t-slow,{user},car,3600.000,4200.000,4000.0,1,"])
+    cfg = base_config(tmp_path, persons_file=str(persons), trips_file=str(trips))
+    code, _, _ = run_cli(capsys, "simulate", "-c", str(cfg))
+    assert code == 0
+    # the run directory's population now holds a trip no factor covers
+    run_trips = tmp_path / "out" / "population" / "trips.csv"
+    user_id = persons.read_text().splitlines()[1].split(",")[0]
+    run_trips.write_text(run_trips.read_text() + TOO_FAST.format(user=user_id) + "\n")
+    code, _, err = run_cli(capsys, "report", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "MissingFactor"
 
 
 def test_verify_clean_chain(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Consensus: proposal ordering, tallying, network simulation, safety."""
+"""Consensus: tallying, network simulation, safety."""
 
 import itertools
 import random
@@ -9,23 +9,19 @@ from carbonledger.consensus import (
     Behavior,
     ConsensusConfig,
     ConsensusEngine,
-    HeightMismatch,
     Message,
     NetworkModel,
     UnsafeFaultConfig,
-    cast_and_tally,
-    load_fault_scenario,
     make_vote,
-    order_proposals,
     run_round,
     simulate_network,
+    tally_votes,
 )
 from carbonledger.ledger import (
     Ledger,
     NodeIdentity,
     Role,
     TxKind,
-    build_block,
     create_genesis,
     make_transaction,
     quorum_size,
@@ -56,88 +52,69 @@ def make_pool(ledger, n=2, ts=100.0):
     ]
 
 
-# --- order_proposals ---
+# --- tally_votes ---
 
 
-def test_lowest_hash_wins_regardless_of_arrival_order():
-    ledger = make_ledger()
-    pool = make_pool(ledger)
-    a = build_block(pool, VALIDATORS[0].address, ledger.head)
-    b = build_block(pool, VALIDATORS[1].address, ledger.head)
-    cfg = ConsensusConfig(4)
-    expected = min([a, b], key=lambda blk: blk.block_hash)
-    assert order_proposals([a, b], 0, cfg) == expected
-    assert order_proposals([b, a], 0, cfg) == expected
-
-
-def test_single_candidate_selected():
-    ledger = make_ledger()
-    blk = build_block(make_pool(ledger), VALIDATORS[0].address, ledger.head)
-    assert order_proposals([blk], 3, ConsensusConfig(4)) == blk
-
-
-def test_height_mismatch_rejected():
-    ledger = make_ledger()
-    pool = make_pool(ledger)
-    a = build_block(pool, VALIDATORS[0].address, ledger.head)
-    b = build_block(pool, VALIDATORS[1].address, a)  # one height further
-    with pytest.raises(HeightMismatch):
-        order_proposals([a, b], 0, ConsensusConfig(4))
-
-
-# --- cast_and_tally ---
+def tally(votes, n_active=4):
+    """Tally `votes` as arriving one after another at one node."""
+    return tally_votes([(float(t), vote) for t, vote in enumerate(votes)],
+                       quorum_size(n_active))
 
 
 def test_three_of_four_commit():
-    cfg = ConsensusConfig(4)
     votes = [make_vote(v.address, 1, "aa" * 32) for v in VALIDATORS[:3]]
-    decision = cast_and_tally(votes, cfg)
-    assert decision.outcome == "committed"
-    assert decision.block_hash == "aa" * 32
-    assert decision.votes_counted == 3
+    result = tally(votes)
+    assert result.block_hash is not None
+    assert result.block_hash == "aa" * 32
+    assert len(result.voters) == 3
 
 
 def test_split_vote_no_quorum():
-    cfg = ConsensusConfig(4)
     votes = [make_vote(VALIDATORS[0].address, 1, "aa" * 32),
              make_vote(VALIDATORS[1].address, 1, "aa" * 32),
              make_vote(VALIDATORS[2].address, 1, "bb" * 32)]
-    decision = cast_and_tally(votes, cfg)
-    assert decision.outcome == "no_quorum"
-    assert decision.votes_counted == 2
+    result = tally(votes)
+    assert result.block_hash is None
+    assert result.best == 2
 
 
 def test_single_node_degenerate_quorum():
-    cfg = ConsensusConfig(1)
-    decision = cast_and_tally([make_vote(VALIDATORS[0].address, 0, "cc" * 32)], cfg)
-    assert decision.outcome == "committed"
+    result = tally([make_vote(VALIDATORS[0].address, 0, "cc" * 32)], n_active=1)
+    assert result.block_hash is not None
 
 
 def test_equivocating_duplicates_first_counted():
-    cfg = ConsensusConfig(4)
     votes = [make_vote(VALIDATORS[0].address, 1, "aa" * 32),
              make_vote(VALIDATORS[0].address, 1, "bb" * 32),  # ignored
              make_vote(VALIDATORS[1].address, 1, "aa" * 32),
              make_vote(VALIDATORS[2].address, 1, "aa" * 32)]
-    decision = cast_and_tally(votes, cfg)
-    assert decision.outcome == "committed" and decision.block_hash == "aa" * 32
+    result = tally(votes)
+    assert result.block_hash is not None and result.block_hash == "aa" * 32
+
+
+def test_tally_counts_on_past_quorum():
+    # the commit is fixed at the vote that made quorum; `best` keeps counting
+    votes = [make_vote(v.address, 1, "aa" * 32) for v in VALIDATORS]
+    result = tally(votes)
+    assert result.commit_time == 2.0
+    assert result.voters == tuple(v.address for v in VALIDATORS[:3])
+    assert result.best == 4
 
 
 def test_tally_against_exhaustive_assignment_oracle():
     # every assignment of 4 voters to {H1, H2, silent}
-    cfg = ConsensusConfig(4)
     h1, h2 = "11" * 32, "22" * 32
     for assignment in itertools.product([h1, h2, None], repeat=4):
         votes = [make_vote(VALIDATORS[i].address, 0, h)
                  for i, h in enumerate(assignment) if h is not None]
-        decision = cast_and_tally(votes, cfg)
+        result = tally(votes)
         count1 = sum(1 for h in assignment if h == h1)
         count2 = sum(1 for h in assignment if h == h2)
         if count1 >= 3 or count2 >= 3:
-            assert decision.outcome == "committed"
-            assert decision.block_hash == (h1 if count1 >= 3 else h2)
+            assert result.block_hash is not None
+            assert result.block_hash == (h1 if count1 >= 3 else h2)
         else:
-            assert decision.outcome == "no_quorum"
+            assert result.block_hash is None
 
 
 def test_quorum_arithmetic_intersection():
@@ -350,19 +327,3 @@ def test_model_check_no_two_commits_at_one_height():
                 )
                 worlds += 1
     assert worlds == 2**3 * 2**4 * 4**4
-
-
-# --- fault scenario file ---
-
-
-def test_fault_scenario_round_trip():
-    text = """
-    {"n_active": 4, "delays_ms": [5, 15], "drop_probability": 0.1,
-     "byzantine": [{"node": 2, "behavior": "equivocate"}], "seed": 42}
-    """
-    sc = load_fault_scenario(text)
-    assert sc.n_active == 4
-    assert sc.delays_ms == (5.0, 15.0)
-    assert sc.drop_probability == 0.1
-    assert sc.byzantine == ((2, Behavior.EQUIVOCATE),)
-    assert sc.seed == 42

@@ -11,10 +11,8 @@ from carbonledger.emissions import (
     Mode,
     PricePolicy,
     TripRecord,
-    ZeroPassengers,
     average_speed,
     per_user_emissions,
-    split_tokens_by_occupancy,
     tokens_for_emissions,
     trip_cost,
     trip_emissions,
@@ -169,20 +167,6 @@ def test_linear_in_price(g):
     single = tokens_for_emissions(g, PricePolicy(10.0))
     double = tokens_for_emissions(g, PricePolicy(20.0))
     assert abs(double.centi - 2 * single.centi) <= 1  # one rounding step
-
-
-@given(st.floats(min_value=0, max_value=1e6, allow_nan=False),
-       st.integers(min_value=1, max_value=9))
-def test_occupancy_split_conserves_exactly(total_g, passengers):
-    shares = split_tokens_by_occupancy(total_g, passengers, PRICE)
-    assert len(shares) == passengers
-    assert sum(s.centi for s in shares) == tokens_for_emissions(total_g, PRICE).centi
-    assert max(shares).centi - min(shares).centi <= 1
-
-
-def test_split_rejects_zero_passengers():
-    with pytest.raises(ZeroPassengers):
-        split_tokens_by_occupancy(100.0, 0, PRICE)
 
 
 # --- mile-based ingest ---

@@ -148,16 +148,22 @@ def test_stateless_validation_reads_no_ledger_state():
 # --- stateful validation ---
 
 
+def pool_verdict(ledger, tx):
+    """The verdict `validate_pool` gives a one-transaction pool."""
+    accepted, rejected = ledger.validate_pool([tx])
+    return rejected[0][1] if rejected else ACCEPT
+
+
 def test_sufficient_balance_accepted():
     ledger = fresh_ledger("493.79")
     tx = payment(ALICE.address, SINK.address, "206.00")
-    assert ledger.validate_stateful(tx) == ACCEPT
+    assert pool_verdict(ledger, tx) == ACCEPT
 
 
 def test_insufficient_balance_rejected_with_both_numbers():
     ledger = fresh_ledger("100.00")
     tx = payment(ALICE.address, SINK.address, "150.00")
-    res = ledger.validate_stateful(tx)
+    res = pool_verdict(ledger, tx)
     assert res.code == INSUFFICIENT_TOKENS
     assert "100.00" in res.detail and "150.00" in res.detail
 
@@ -166,7 +172,7 @@ def test_replayed_tx_rejected():
     ledger = fresh_ledger()
     tx = payment(ALICE.address, SINK.address, "10.00")
     ledger = commit(ledger, [tx])
-    assert ledger.validate_stateful(tx).code == DUPLICATE_TRANSACTION
+    assert pool_verdict(ledger, tx).code == DUPLICATE_TRANSACTION
 
 
 # --- block building ---
@@ -208,7 +214,7 @@ def test_pool_with_internal_dependency_validates_sequentially():
     accepted, rejected = ledger.validate_pool([t1, t2])
     assert len(accepted) == 2 and not rejected
     # alone, the dependent transaction fails
-    assert ledger.validate_stateful(t2).code == INSUFFICIENT_TOKENS
+    assert pool_verdict(ledger, t2).code == INSUFFICIENT_TOKENS
 
 
 def test_empty_pool_rejected():

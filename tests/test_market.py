@@ -9,6 +9,7 @@ from carbonledger.emissions import (
     Mode,
     PricePolicy,
     TripRecord,
+    trip_cost,
 )
 from carbonledger.ledger import (
     NodeIdentity,
@@ -73,14 +74,15 @@ def test_cap_sums_trip_costs():
         TripRecord("t1", "u1", Mode.CAR, 0, 1800, 5_000, 1),   # 500 g -> 100.00
         TripRecord("t2", "u2", Mode.CAR, 0, 1800, 2_500, 1),   # 250 g -> 50.00
     ]
-    policy = compute_cap(trips, TABLE, BUS, PRICE)
+    policy = compute_cap({t.trip_id: trip_cost(t, TABLE, BUS, PRICE) for t in trips})
     assert policy.cap == tok("150.00")
     assert equal_split_grants(policy.cap, 2) == [tok("75.00"), tok("75.00")]
 
 
 def test_zero_emission_day_has_zero_cap():
     trips = [TripRecord("t1", "u1", Mode.WALK, 0, 600, 800, 1)]
-    assert compute_cap(trips, TABLE, BUS, PRICE).cap == TokenAmount.zero()
+    costs = {t.trip_id: trip_cost(t, TABLE, BUS, PRICE) for t in trips}
+    assert compute_cap(costs).cap == TokenAmount.zero()
 
 
 def test_largest_remainder_split():
@@ -235,19 +237,6 @@ def test_sale_replenishes_pool_for_later_purchase():
     assert market.pool(ledger) == tok("4.00")  # 16 - 12
 
 
-def test_frozen_resale_locks_bought_back_tokens():
-    market = Market(PRICE, freeze_resale=True)
-    ledger = bootstrap(market, "60.00", initial_pool=tok("1.00"))
-    sale = market.sell_surplus(USERS[1].address, tok("15.00"), ledger, 1.0)
-    ledger = commit(ledger, [sale])
-    market.record_committed([sale])
-    assert market.pool(ledger) == tok("16.00")
-    assert market.available_for_sale(ledger) == tok("1.00")
-    with pytest.raises(MarketPoolExhausted):
-        market.settle_trip(USERS[0].address, tok("32.00"), ledger, 2.0,
-                           description="trip:t2")
-
-
 # --- operator settlement ---
 
 
@@ -256,18 +245,21 @@ def bus_trip():
     return TripRecord("b1", "u1", Mode.BUS, 0, 1800, 10_000, 1)
 
 
+PER_SEAT = trip_cost(bus_trip(), TABLE, BUS, PRICE)[1]
+
+
 def test_full_bus_costs_operator_nothing():
     market = Market(PRICE)
     policy = BusChargingPolicy(seats_per_bus=50.55, operator_pays_remainder=True)
     ledger = bootstrap(market, "100.00")
-    assert market.operator_settlement(bus_trip(), 50.55, policy, TABLE, ledger, 0.0) is None
+    assert market.operator_settlement(bus_trip(), 50.55, PER_SEAT, policy, ledger, 0.0) is None
 
 
 def test_operator_pays_for_empty_seats():
     market = Market(PRICE)
     policy = BusChargingPolicy(seats_per_bus=50.55, operator_pays_remainder=True)
     ledger = bootstrap(market, "100.00", initial_pool=tok("2000.00"))
-    tx = market.operator_settlement(bus_trip(), 30.0, policy, TABLE, ledger, 0.0)
+    tx = market.operator_settlement(bus_trip(), 30.0, PER_SEAT, policy, ledger, 0.0)
     # 20.55 empty seats x 47.00 tokens
     assert tx is not None and tx.amount == tok("965.85")
     assert tx.kind is TxKind.OPERATOR_SETTLEMENT
@@ -277,7 +269,7 @@ def test_operator_pays_for_empty_seats():
 def test_operator_settlement_disabled_by_default():
     market = Market(PRICE)
     ledger = bootstrap(market, "100.00")
-    assert market.operator_settlement(bus_trip(), 30.0, BUS, TABLE, ledger, 0.0) is None
+    assert market.operator_settlement(bus_trip(), 30.0, PER_SEAT, BUS, ledger, 0.0) is None
 
 
 # --- cap accounting ---

@@ -1,9 +1,13 @@
 """Day replay: settlement completeness, determinism, metrics."""
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
 
+from carbonledger.cli import main as cli_main
 from carbonledger.emissions import Mode
 from carbonledger.ledger import TxKind, export_chain, verify_chain
 from carbonledger.population import load_profile, write_population, generate_synthetic
@@ -106,6 +110,35 @@ def test_identical_config_identical_artifacts(tmp_path):
     for name in ("ledger.ndjson", "wallets.csv", "consensus_trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     assert export_chain(a.ledger) == export_chain(b.ledger)
+
+
+# sha256 over each pinned day's artifact set: ledger.ndjson, wallets.csv,
+# metrics.json, consensus_trace.csv and the 16 report CSVs.  The faulty day
+# has failed rounds, so tallies short of quorum reach the trace.
+GOLDEN_DAYS = {
+    "4 validators": (
+        {}, "63025e9fff7d9cecab118a9da69ae54ded486a0c39fe2406974a17c528e2399f"),
+    "7 validators, 10% drops, silent and equivocating nodes": (
+        {"n_active_nodes": 7, "drop_probability": 0.1,
+         "byzantine": ((5, "silent"), (6, "equivocate"))},
+        "26017720ba38e8e13f11d4ccde1c1addc2ca7e33c237d667cfa41f879e356c1a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DAYS))
+def test_pinned_seed_artifacts_match_golden_digest(name, tmp_path):
+    overrides, expected = GOLDEN_DAYS[name]
+    run(SimulationConfig(seed=7, **overrides), out_dir=tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["report", str(tmp_path)]) == 0
+    paths = [tmp_path / n for n in ("ledger.ndjson", "wallets.csv", "metrics.json",
+                                    "consensus_trace.csv")]
+    paths += sorted((tmp_path / "reports").glob("*.csv"))
+    assert len(paths) == 20
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == expected
 
 
 def test_different_seeds_diverge():
