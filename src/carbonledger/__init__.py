@@ -26,7 +26,6 @@ from .consensus import (
     ConsensusEngine,
     Decision,
     NetworkModel,
-    Vote,
     run_round,
     simulate_network,
     tally_votes,

@@ -96,6 +96,8 @@ def _load_run_dir(run_dir: Path):
             raise MissingArtifact(str(path))
     chain = ledger_mod.import_chain(ledger_file.read_text())
     manifest = json.loads(manifest_file.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_file} is not a JSON object")
     cfg = simulator.SimulationConfig.from_json(config_file.read_text())
     return chain, manifest, cfg, persons_file, trips_file
 
@@ -108,13 +110,22 @@ def cmd_report(args) -> int:
             ledger_mod.ParseError, json.JSONDecodeError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
 
-    # provenance: the exported chain must still verify and match the manifest
+    # provenance: the exported chain must still verify and match the manifest,
+    # and the population and config must be the ones the run hashed
     report = ledger_mod.verify_chain(chain)
     if not report.ok or manifest.get("ledger_head") != chain.head.block_hash:
         detail = "; ".join(
             f"height {v.height}: {v.kind}" for v in report.violations[:5]
         ) or "manifest head hash does not match the ledger export"
         return _fail(Exception(f"provenance check failed: {detail}"), EXIT_PROVENANCE)
+    recorded = manifest.get("inputs")
+    if not isinstance(recorded, dict):
+        recorded = {}
+    changed = [name for name, sha in simulator.input_hashes(run_dir).items()
+               if recorded.get(name) != sha]
+    if changed:
+        return _fail(Exception("provenance check failed: manifest input hash does not "
+                               f"match {', '.join(changed)}"), EXIT_PROVENANCE)
 
     try:
         persons, trips, _ = population.load_population(persons_file, trips_file)

@@ -21,6 +21,16 @@ Timing model (all simulated; link delays configured in milliseconds):
   (the (quorum−1)-th order statistic of n−1 uniform link delays);
 * the round times out ``2 × p99 link delay`` after the vote phase starts.
 
+Draw order: each round calls `simulate_network` twice, for the proposals
+and then the votes, and both calls draw from the one round rng.  The
+proposer's sends go out in validator order.  The votes go out voter by
+voter in validator order; an equivocator's chosen hash goes before its
+fabricated one, and each vote goes to every validator in validator order.
+A send to another node takes one ``rng.random()`` drop draw, only when the
+drop probability is above zero, and, if it is not dropped, one delay draw
+``lo + (hi − lo) · rng.random()`` (what ``random.uniform`` computes).  A
+send to oneself takes no draw and arrives at once.
+
 Faulty behaviors: ``silent`` nodes send nothing; ``equivocate`` nodes
 propose conflicting variants to different peers and cast conflicting
 votes; ``delay`` nodes send everything five times slower.  The first vote
@@ -32,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .ledger import (
     Block,
@@ -59,8 +69,7 @@ class UnsafeFaultConfig(ConsensusError):
 
 
 class SafetyViolation(ConsensusError):
-    """Two distinct blocks committed at one height; must never happen within
-    the fault bound."""
+    """Two distinct blocks committed at one height; must never happen."""
 
 
 class Behavior(Enum):
@@ -85,19 +94,6 @@ class ConsensusConfig:
     @property
     def max_faulty(self) -> int:
         return max_faulty(self.n_active)
-
-
-@dataclass(frozen=True)
-class Vote:
-    voter: str
-    round: int
-    block_hash: str
-    attestation: str
-
-
-def make_vote(voter: str, round_no: int, block_hash: str) -> Vote:
-    return Vote(voter, round_no, block_hash,
-                digest("vote", voter, str(round_no), block_hash))
 
 
 @dataclass(frozen=True)
@@ -133,46 +129,30 @@ class NetworkModel:
                 "pass --unsafe-faults to run anyway"
             )
 
-    def behavior(self, address: str) -> Optional[Behavior]:
-        return self.byzantine.get(address)
-
-
-@dataclass(frozen=True)
-class Message:
-    src: str
-    dst: str
-    send_time: float
-    kind: str  # "proposal" | "vote"
-    payload: object
-
-
-@dataclass(frozen=True)
-class Delivery:
-    message: Message
-    deliver_time: Optional[float]  # None = dropped
-
 
 def simulate_network(
-    messages: Sequence[Message], network: NetworkModel, rng: random.Random
-) -> list[Delivery]:
-    """Assign each message a delivery time or drop it.
+    sends: Sequence[tuple[str, str, float]], network: NetworkModel, rng: random.Random
+) -> list[Optional[float]]:
+    """Each ``(src, dst, send_time)`` send's arrival time, or None if dropped.
 
-    Deterministic given the rng state: messages are processed in the given
-    order and consume draws in a fixed pattern.  Self-addressed messages
-    deliver instantly and are never dropped.
+    Deterministic given the rng state: sends are processed in the given
+    order and consume draws as the module docstring states.
     """
-    out = []
-    for msg in messages:
-        if msg.src == msg.dst:
-            out.append(Delivery(msg, msg.send_time))
-            continue
-        if network.drop_probability > 0 and rng.random() < network.drop_probability:
-            out.append(Delivery(msg, None))
-            continue
-        delay_ms = rng.uniform(network.delay_ms_low, network.delay_ms_high)
-        if network.behavior(msg.src) is Behavior.DELAY:
-            delay_ms *= DELAY_FACTOR
-        out.append(Delivery(msg, msg.send_time + delay_ms / 1000.0))
+    lo, span = network.delay_ms_low, network.delay_ms_high - network.delay_ms_low
+    drop = network.drop_probability
+    slow = {a for a, b in network.byzantine.items() if b is Behavior.DELAY}
+    draw = rng.random
+    out: list[Optional[float]] = []
+    for src, dst, send_time in sends:
+        if src == dst:
+            out.append(send_time)
+        elif drop > 0 and draw() < drop:
+            out.append(None)
+        else:
+            delay_ms = lo + span * draw()
+            if src in slow:
+                delay_ms *= DELAY_FACTOR
+            out.append(send_time + delay_ms / 1000.0)
     return out
 
 
@@ -184,8 +164,7 @@ class Decision:
     votes_counted: int
 
 
-@dataclass(frozen=True)
-class Tally:
+class Tally(NamedTuple):
     """One node's count of the votes that reached it."""
 
     commit_time: Optional[float]  # arrival of the vote that made a quorum
@@ -194,27 +173,30 @@ class Tally:
     best: int  # the largest count any hash reached, counting on past quorum
 
 
-def tally_votes(arrivals: Sequence[tuple[float, Vote]], quorum: int) -> Tally:
+def tally_votes(arrivals: Sequence[tuple[float, str, str]], quorum: int) -> Tally:
     """Count the first vote per voter, in arrival order, and find quorum.
 
-    Ties in arrival time are broken by voter and then by hash.  Adversarial
-    inputs never fault: an equivocator's later votes are ignored, and a
-    split vote yields no hash.
+    `arrivals` holds ``(time, voter, hash)`` triples; ties in arrival time
+    are broken by voter and then by hash.  Adversarial inputs never fault:
+    an equivocator's later votes are ignored, and a split vote yields no
+    hash.
     """
     counted: set[str] = set()
     tally: dict[str, list[str]] = {}
     commit: tuple[Optional[float], Optional[str], tuple[str, ...]] = (None, None, ())
     best = 0
-    for t, vote in sorted(arrivals, key=lambda item: (item[0], item[1].voter,
-                                                      item[1].block_hash)):
-        if vote.voter in counted:
+    for t, voter, block_hash in sorted(arrivals):
+        if voter in counted:
             continue
-        counted.add(vote.voter)
-        voters = tally.setdefault(vote.block_hash, [])
-        voters.append(vote.voter)
-        best = max(best, len(voters))
-        if len(voters) >= quorum and commit[1] is None:
-            commit = (t, vote.block_hash, tuple(voters))
+        counted.add(voter)
+        voters = tally.get(block_hash)
+        if voters is None:
+            voters = tally[block_hash] = []
+        voters.append(voter)
+        if len(voters) > best:
+            best = len(voters)
+            if best >= quorum and commit[1] is None:
+                commit = (t, block_hash, tuple(voters))
     return Tally(*commit, best)
 
 
@@ -272,113 +254,105 @@ def run_round(
     if n != config.n_active:
         raise ConsensusError(f"ledger has {n} validators, config says {config.n_active}")
     network.check_fault_bound(n)
+    byzantine = network.byzantine
     head = ledger.head
     proposer = validators[round_no % n]
     prop_deadline, round_deadline = network.deadlines(start_time)
 
     # --- proposal phase: an equivocating proposer sends every other
     # validator a conflicting variant ---
-    messages: list[Message] = []
+    prop_sends: list[tuple[str, str, float]] = []
+    payloads: list[Block] = []
     proposals: dict[str, Block] = {}
-    beh = network.behavior(proposer)
+    beh = byzantine.get(proposer)
     if beh is not Behavior.SILENT:
         block = build_block(pool, proposer, head)
         variant = (_equivocation_variant(pool, proposer, head)
                    if beh is Behavior.EQUIVOCATE else None)
         proposals = {b.block_hash: b for b in (block, variant) if b is not None}
-        for i, dst in enumerate(validators):
-            payload = variant if (variant is not None and i % 2 == 1) else block
-            messages.append(Message(proposer, dst, start_time, "proposal", payload))
-    prop_deliveries = simulate_network(messages, network, rng)
+        payloads = [variant if (variant is not None and i % 2 == 1) else block
+                    for i in range(n)]
+        prop_sends = [(proposer, dst, start_time) for dst in validators]
+    prop_arrivals = simulate_network(prop_sends, network, rng)
+    n_dropped = prop_arrivals.count(None)
 
     # each validator receives at most one proposal; each distinct proposal is
     # checked once however many validators receive it
     candidate: dict[str, Block] = {}
     verdicts: dict[str, bool] = {}
-    for d in prop_deliveries:
-        if d.deliver_time is None or d.deliver_time > prop_deadline:
+    for dst, block, t in zip(validators, payloads, prop_arrivals):
+        if t is None or t > prop_deadline:
             continue
-        block = d.message.payload
         valid = verdicts.get(block.block_hash)
         if valid is None:
             valid = verdicts[block.block_hash] = _proposal_valid(block, ledger)
         if valid:
-            candidate[d.message.dst] = block
+            candidate[dst] = block
 
-    # --- vote phase ---
-    vote_msgs: list[Message] = []
+    # --- vote phase: each cast (voter, hash) goes to every validator ---
+    cast: list[tuple[str, str]] = []
     n_voters = 0
     equivocations: list[tuple[str, int, tuple[str, ...]]] = []
     for v in validators:
-        beh = network.behavior(v)
+        beh = byzantine.get(v)
         if beh is Behavior.SILENT or v not in candidate:
             continue
         choice = candidate[v].block_hash
-        votes = [make_vote(v, round_no, choice)]
+        cast.append((v, choice))
         if beh is Behavior.EQUIVOCATE:
             fake = digest("equivocation", v, str(round_no))
-            votes.append(make_vote(v, round_no, fake))
+            cast.append((v, fake))
             equivocations.append((v, round_no, (choice, fake)))
         n_voters += 1
-        for vote in votes:
-            for dst in validators:
-                vote_msgs.append(Message(v, dst, prop_deadline, "vote", vote))
-    vote_deliveries = simulate_network(vote_msgs, network, rng)
+    vote_arrivals = simulate_network(
+        [(v, dst, prop_deadline) for v, _ in cast for dst in validators], network, rng)
 
-    # --- per-node tallies ---
-    on_time: dict[str, list[tuple[float, Vote]]] = {v: [] for v in validators}
-    any_late_or_dropped = False
-    for d in vote_deliveries:
-        if d.deliver_time is None or d.deliver_time > round_deadline:
-            any_late_or_dropped = True
-        else:
-            on_time[d.message.dst].append((d.deliver_time, d.message.payload))
+    # --- per-node tallies over the on-time arrivals: the sends are voter
+    # by voter, so node j's arrivals are every n-th entry from j ---
+    inboxes = [[(t, voter, block_hash)
+                for (voter, block_hash), t in zip(cast, vote_arrivals[j::n])
+                if t is not None and t <= round_deadline] for j in range(n)]
+    n_dropped += vote_arrivals.count(None)
+    late_or_dropped = sum(map(len, inboxes)) < len(vote_arrivals)
     honest_commits: dict[str, Tally] = {}
     max_count = 0
-    for node in validators:
-        tally = tally_votes(on_time[node], config.quorum)
+    for node, inbox in zip(validators, inboxes):
+        tally = tally_votes(inbox, config.quorum)
         max_count = max(max_count, tally.best)
-        if tally.block_hash is not None and network.behavior(node) is None:
+        if tally.block_hash is not None and node not in byzantine:
             honest_commits[node] = tally
 
+    # Safety, whatever `unsafe_faults` says: an equivocating proposer's two
+    # variants go to disjoint voter sets and 2·ceil(2n/3) > n, so at most one
+    # of them reaches quorum; each fabricated vote hash has one voter, so it
+    # reaches quorum only when n = 1, and then its one node is not honest.
+    # Every honest commit is therefore one hash, and that hash was proposed.
     fork_hashes = tuple(sorted({c.block_hash for c in honest_commits.values()}))
-    if len(fork_hashes) > 1 and not network.unsafe_faults:
-        raise SafetyViolation(
-            f"round {round_no}: distinct commits {fork_hashes} within fault bound"
-        )
+    if len(fork_hashes) > 1:
+        raise SafetyViolation(f"round {round_no}: distinct commits {fork_hashes}")
 
-    # no_quorum: the cast votes could never have formed a quorum, they all
-    # arrived and still split, or a fabricated hash won in an unsafe run;
-    # round_timeout: deliveries were lost or late
-    outcome, block, anchor = "no_quorum", None, None
+    final, new_ledger, commit_time = None, ledger, None
     if not honest_commits:
-        if n_voters >= config.quorum and any_late_or_dropped:
-            outcome = "round_timeout"
-    else:
-        if len(fork_hashes) == 1:
-            anchors = honest_commits
-        else:  # unsafe demonstration run: earliest commit wins the accounting
-            node = min(honest_commits, key=lambda k: honest_commits[k].commit_time)
-            anchors = {node: honest_commits[node]}
-        block = proposals.get(next(iter(anchors.values())).block_hash)
-        if block is not None:
-            # the commit instant is taken at the winning block's creator when
-            # it committed itself, otherwise at the earliest honest observer
-            anchor = anchors.get(block.creator) or min(
-                anchors.items(), key=lambda kv: (kv[1].commit_time, kv[0], kv[1].voters))[1]
-
-    final, new_ledger = None, ledger
-    if anchor is None:
+        # round_timeout: a quorum was cast but votes were lost or late;
+        # no_quorum: the cast votes could never have formed one, or split
+        outcome = ("round_timeout" if n_voters >= config.quorum and late_or_dropped
+                   else "no_quorum")
         decision = Decision(round_no, outcome, None, max_count)
     else:
+        block = proposals[fork_hashes[0]]
+        # the commit instant is taken at the winning block's creator when it
+        # committed itself, otherwise at the earliest honest observer
+        anchor = honest_commits.get(block.creator) or min(
+            honest_commits.items(),
+            key=lambda kv: (kv[1].commit_time, kv[0], kv[1].voters))[1]
         final = with_signatures(block, (
             (addr, block_attestation(addr, block.block_hash)) for addr in anchor.voters))
         new_ledger = ledger.apply_block(final)
+        commit_time = anchor.commit_time
         decision = Decision(round_no, "committed", block.block_hash, len(anchor.voters))
     return RoundResult(
-        decision, final, new_ledger, None if anchor is None else anchor.commit_time,
-        proposer, fork_hashes, equivocations, len(messages) + len(vote_msgs),
-        sum(1 for d in prop_deliveries + vote_deliveries if d.deliver_time is None),
+        decision, final, new_ledger, commit_time, proposer, fork_hashes, equivocations,
+        len(prop_sends) + len(vote_arrivals), n_dropped,
     )
 
 
@@ -446,4 +420,12 @@ def export_trace(rows: Sequence[TraceRow]) -> str:
     for r in rows:
         lines.append(f"{r.round},{r.proposer},{r.block_hash},{r.votes},"
                      f"{r.outcome},{r.latency_ms}")
+    return "\n".join(lines) + "\n"
+
+
+def export_equivocations(evidence: Sequence[tuple[str, int, tuple[str, ...]]]) -> str:
+    """CSV `round,voter,hashes` of `(voter, round, hashes)` evidence, the
+    hashes one voter cast in one round joined by `;`."""
+    lines = ["round,voter,hashes"]
+    lines += [f"{round_no},{voter},{';'.join(hashes)}" for voter, round_no, hashes in evidence]
     return "\n".join(lines) + "\n"

@@ -19,7 +19,15 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .consensus import Behavior, ConsensusConfig, ConsensusEngine, NetworkModel, TraceRow, export_trace
+from .consensus import (
+    Behavior,
+    ConsensusConfig,
+    ConsensusEngine,
+    NetworkModel,
+    TraceRow,
+    export_equivocations,
+    export_trace,
+)
 from .emissions import (
     BusChargingPolicy,
     EmissionFactorTable,
@@ -130,7 +138,7 @@ class SimulationResult:
     committed: int
     tx_per_minute: list[int]
     consensus_trace: list[TraceRow]
-    equivocations: list
+    equivocations: list[tuple[str, int, tuple[str, ...]]]  # (voter, round, hashes)
     rejects: list[RejectedRow]
     market: Market
 
@@ -356,14 +364,27 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     return result
 
 
+# the run-directory files the reports are computed from, hashed into the
+# manifest so that `report` can refuse inputs changed after the run
+REPORT_INPUTS = ("population/persons.csv", "population/trips.csv", "run_config.json")
+
+
+def input_hashes(run_dir: Path) -> dict[str, str]:
+    """sha256 of each of the run directory's `REPORT_INPUTS`."""
+    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in REPORT_INPUTS}
+
+
 def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
-    """Ledger export, wallet snapshot, metrics, trace, manifest, population."""
+    """Ledger export, wallet snapshot, metrics, trace, equivocation evidence,
+    population and a manifest that hashes the report inputs."""
     out = Path(out_dir)
     (out / "population").mkdir(parents=True, exist_ok=True)
     (out / "ledger.ndjson").write_text(export_chain(result.ledger))
     (out / "wallets.csv").write_text(export_wallets(result.ledger))
     (out / "metrics.json").write_text(collect_metrics(result).to_json() + "\n")
     (out / "consensus_trace.csv").write_text(export_trace(result.consensus_trace))
+    (out / "equivocations.csv").write_text(export_equivocations(result.equivocations))
     write_population(result.persons, result.trips,
                      out / "population" / "persons.csv",
                      out / "population" / "trips.csv")
@@ -379,5 +400,6 @@ def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
         "config_hash": result.config.config_hash(),
         "ledger_head": result.ledger.head.block_hash,
         "hash_algorithm": HASH_ALGORITHM,
+        "inputs": input_hashes(out),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -1,6 +1,9 @@
 """CLI subcommands, exit codes, machine-readable errors."""
 
+import hashlib
 import json
+
+import pytest
 
 from carbonledger.cli import main
 
@@ -111,6 +114,12 @@ def test_report_emission_error_exits_2_with_json(tmp_path, capsys):
     run_trips = tmp_path / "out" / "population" / "trips.csv"
     user_id = persons.read_text().splitlines()[1].split(",")[0]
     run_trips.write_text(run_trips.read_text() + TOO_FAST.format(user=user_id) + "\n")
+    # ... and the manifest vouches for it, so the provenance check passes
+    manifest_file = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    manifest["inputs"]["population/trips.csv"] = hashlib.sha256(
+        run_trips.read_bytes()).hexdigest()
+    manifest_file.write_text(json.dumps(manifest))
     code, _, err = run_cli(capsys, "report", str(tmp_path / "out"))
     assert code == 2
     assert json.loads(err.strip())["error"] == "MissingFactor"
@@ -185,6 +194,49 @@ def test_report_tampered_ledger_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", str(tmp_path / "out"))
     assert code == 3
     assert "provenance" in json.loads(err.strip())["detail"]
+
+
+def append_car_trip(run_dir):
+    # an ordinary 4 km car trip added after the run would change the reports
+    user_id = (run_dir / "population" / "persons.csv").read_text().splitlines()[1].split(",")[0]
+    trips = run_dir / "population" / "trips.csv"
+    trips.write_text(trips.read_text() + f"t-late,{user_id},car,3600.000,4200.000,4000.0,1,\n")
+
+
+def double_price(run_dir):
+    config = json.loads((run_dir / "run_config.json").read_text())
+    config["price_cad_per_tonne"] *= 2
+    (run_dir / "run_config.json").write_text(json.dumps(config))
+
+
+def drop_input_hashes(run_dir):
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    del manifest["inputs"]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("tamper, named", [
+    (append_car_trip, "population/trips.csv"),
+    (double_price, "run_config.json"),
+    (drop_input_hashes, "population/persons.csv"),
+])
+def test_report_changed_input_exits_3(tmp_path, capsys, tamper, named):
+    cfg = base_config(tmp_path)
+    run_cli(capsys, "simulate", "-c", str(cfg))
+    tamper(tmp_path / "out")
+    code, _, err = run_cli(capsys, "report", str(tmp_path / "out"))
+    assert code == 3
+    detail = json.loads(err.strip())["detail"]
+    assert "provenance" in detail and named in detail
+
+
+def test_report_manifest_not_an_object_exits_2(tmp_path, capsys):
+    cfg = base_config(tmp_path)
+    run_cli(capsys, "simulate", "-c", str(cfg))
+    (tmp_path / "out" / "manifest.json").write_text("[]\n")
+    code, _, err = run_cli(capsys, "report", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "ValueError"
 
 
 def test_report_missing_artifacts_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Consensus: tallying, network simulation, safety."""
 
+import hashlib
 import itertools
 import random
 
@@ -9,10 +10,8 @@ from carbonledger.consensus import (
     Behavior,
     ConsensusConfig,
     ConsensusEngine,
-    Message,
     NetworkModel,
     UnsafeFaultConfig,
-    make_vote,
     run_round,
     simulate_network,
     tally_votes,
@@ -24,6 +23,7 @@ from carbonledger.ledger import (
     TxKind,
     create_genesis,
     make_transaction,
+    max_faulty,
     quorum_size,
 )
 from carbonledger.tokens import TokenAmount
@@ -56,13 +56,13 @@ def make_pool(ledger, n=2, ts=100.0):
 
 
 def tally(votes, n_active=4):
-    """Tally `votes` as arriving one after another at one node."""
-    return tally_votes([(float(t), vote) for t, vote in enumerate(votes)],
+    """Tally `(voter, hash)` votes as arriving one after another at one node."""
+    return tally_votes([(float(t), voter, h) for t, (voter, h) in enumerate(votes)],
                        quorum_size(n_active))
 
 
 def test_three_of_four_commit():
-    votes = [make_vote(v.address, 1, "aa" * 32) for v in VALIDATORS[:3]]
+    votes = [(v.address, "aa" * 32) for v in VALIDATORS[:3]]
     result = tally(votes)
     assert result.block_hash is not None
     assert result.block_hash == "aa" * 32
@@ -70,31 +70,31 @@ def test_three_of_four_commit():
 
 
 def test_split_vote_no_quorum():
-    votes = [make_vote(VALIDATORS[0].address, 1, "aa" * 32),
-             make_vote(VALIDATORS[1].address, 1, "aa" * 32),
-             make_vote(VALIDATORS[2].address, 1, "bb" * 32)]
+    votes = [(VALIDATORS[0].address, "aa" * 32),
+             (VALIDATORS[1].address, "aa" * 32),
+             (VALIDATORS[2].address, "bb" * 32)]
     result = tally(votes)
     assert result.block_hash is None
     assert result.best == 2
 
 
 def test_single_node_degenerate_quorum():
-    result = tally([make_vote(VALIDATORS[0].address, 0, "cc" * 32)], n_active=1)
+    result = tally([(VALIDATORS[0].address, "cc" * 32)], n_active=1)
     assert result.block_hash is not None
 
 
 def test_equivocating_duplicates_first_counted():
-    votes = [make_vote(VALIDATORS[0].address, 1, "aa" * 32),
-             make_vote(VALIDATORS[0].address, 1, "bb" * 32),  # ignored
-             make_vote(VALIDATORS[1].address, 1, "aa" * 32),
-             make_vote(VALIDATORS[2].address, 1, "aa" * 32)]
+    votes = [(VALIDATORS[0].address, "aa" * 32),
+             (VALIDATORS[0].address, "bb" * 32),  # ignored
+             (VALIDATORS[1].address, "aa" * 32),
+             (VALIDATORS[2].address, "aa" * 32)]
     result = tally(votes)
     assert result.block_hash is not None and result.block_hash == "aa" * 32
 
 
 def test_tally_counts_on_past_quorum():
     # the commit is fixed at the vote that made quorum; `best` keeps counting
-    votes = [make_vote(v.address, 1, "aa" * 32) for v in VALIDATORS]
+    votes = [(v.address, "aa" * 32) for v in VALIDATORS]
     result = tally(votes)
     assert result.commit_time == 2.0
     assert result.voters == tuple(v.address for v in VALIDATORS[:3])
@@ -105,7 +105,7 @@ def test_tally_against_exhaustive_assignment_oracle():
     # every assignment of 4 voters to {H1, H2, silent}
     h1, h2 = "11" * 32, "22" * 32
     for assignment in itertools.product([h1, h2, None], repeat=4):
-        votes = [make_vote(VALIDATORS[i].address, 0, h)
+        votes = [(VALIDATORS[i].address, h)
                  for i, h in enumerate(assignment) if h is not None]
         result = tally(votes)
         count1 = sum(1 for h in assignment if h == h1)
@@ -128,38 +128,38 @@ def test_quorum_arithmetic_intersection():
 
 
 def test_identical_seed_identical_schedule():
-    msgs = [Message(VALIDATORS[0].address, VALIDATORS[1].address, float(i), "vote", i)
-            for i in range(50)]
+    sends = [(VALIDATORS[0].address, VALIDATORS[1].address, float(i))
+             for i in range(50)]
     net = NetworkModel(10, 20, drop_probability=0.2)
-    a = simulate_network(msgs, net, random.Random(99))
-    b = simulate_network(msgs, net, random.Random(99))
+    a = simulate_network(sends, net, random.Random(99))
+    b = simulate_network(sends, net, random.Random(99))
     assert a == b
 
 
 def test_zero_drop_delivers_everything():
-    msgs = [Message(VALIDATORS[0].address, VALIDATORS[1].address, 0.0, "vote", i)
-            for i in range(100)]
+    sends = [(VALIDATORS[0].address, VALIDATORS[1].address, 0.0)
+             for i in range(100)]
     net = NetworkModel(10, 20, drop_probability=0.0)
-    deliveries = simulate_network(msgs, net, random.Random(1))
-    assert all(d.deliver_time is not None for d in deliveries)
-    assert all(0.010 <= d.deliver_time <= 0.020 for d in deliveries)
+    arrivals = simulate_network(sends, net, random.Random(1))
+    assert all(t is not None for t in arrivals)
+    assert all(0.010 <= t <= 0.020 for t in arrivals)
 
 
 def test_drop_rate_law_of_large_numbers():
-    msgs = [Message(VALIDATORS[0].address, VALIDATORS[1].address, 0.0, "vote", i)
-            for i in range(10_000)]
+    sends = [(VALIDATORS[0].address, VALIDATORS[1].address, 0.0)
+             for i in range(10_000)]
     net = NetworkModel(10, 20, drop_probability=0.3)
-    deliveries = simulate_network(msgs, net, random.Random(7))
-    dropped = sum(1 for d in deliveries if d.deliver_time is None)
+    arrivals = simulate_network(sends, net, random.Random(7))
+    dropped = sum(1 for t in arrivals if t is None)
     assert abs(dropped / 10_000 - 0.3) < 0.02
 
 
 def test_self_messages_never_dropped():
-    msgs = [Message(VALIDATORS[0].address, VALIDATORS[0].address, 1.0, "vote", i)
-            for i in range(100)]
+    sends = [(VALIDATORS[0].address, VALIDATORS[0].address, 1.0)
+             for i in range(100)]
     net = NetworkModel(10, 20, drop_probability=0.9)
-    deliveries = simulate_network(msgs, net, random.Random(3))
-    assert all(d.deliver_time == 1.0 for d in deliveries)
+    arrivals = simulate_network(sends, net, random.Random(3))
+    assert all(t == 1.0 for t in arrivals)
 
 
 # --- run_round ---
@@ -327,3 +327,51 @@ def test_model_check_no_two_commits_at_one_height():
                 )
                 worlds += 1
     assert worlds == 2**3 * 2**4 * 4**4
+
+
+# --- pinned draw order ---
+
+# sha256 over every RoundResult field, plus the network stream's next draw,
+# of 500 seeded random rounds: any change in the draws a round takes, or in
+# what it returns, shows here
+RANDOM_ROUNDS_DIGEST = "16f38c6ec5c2cbd624d0d2821db07ef9f41ea8f6676d10a641ddc6812f54f7f8"
+
+
+def test_random_rounds_match_pinned_digest():
+    params = random.Random(20260)
+    net_rng = random.Random(4)
+    behaviors = [Behavior.SILENT, Behavior.EQUIVOCATE, Behavior.DELAY]
+    ledgers = {}
+    digest = hashlib.sha256()
+    for _ in range(500):
+        n = params.choice([1, 2, 3, 4, 5, 6, 7, 32])
+        if n not in ledgers:
+            validators = [NodeIdentity(f"validator-{i}", Role.ACTIVE_VALIDATOR)
+                          for i in range(n)]
+            allocs = [make_transaction(0.0, MINT.address, u.address,
+                                       TokenAmount(100_000), TxKind.ALLOCATION)
+                      for u in USERS]
+            ledgers[n] = create_genesis(USERS + [MINT, SINK], validators, allocs)
+        ledger = ledgers[n]
+        unsafe = params.random() < 0.5
+        p_fault = params.choice([0.0, 0.2, 0.5])
+        byz = {v: params.choice(behaviors) for v in ledger.validators
+               if params.random() < p_fault}
+        if not unsafe:
+            byz = dict(list(byz.items())[:max_faulty(n)])
+        lo = params.choice([0.0, 5.0, 10.0])
+        net = NetworkModel(lo, lo + params.choice([0.0, 10.0, 20.0]),
+                           drop_probability=params.choice([0.0, 0.05, 0.1, 0.3]),
+                           byzantine=byz, unsafe_faults=unsafe)
+        pool = make_pool(ledger, n=params.randint(1, 3), ts=params.uniform(0, 100))
+        r = run_round(pool, ledger, net, ConsensusConfig(n), net_rng,
+                      round_no=params.randrange(64), start_time=params.uniform(0, 500))
+        assert len(r.fork_hashes) <= 1
+        d = r.decision
+        block = None if r.block is None else (r.block.block_hash, r.block.signatures)
+        record = (d.round, d.outcome, d.block_hash, d.votes_counted, block,
+                  r.ledger.height, r.ledger.head.block_hash, r.commit_time,
+                  r.proposer, r.fork_hashes, r.equivocations, r.n_messages,
+                  r.n_dropped, net_rng.random())
+        digest.update(repr(record).encode() + b"\n")
+    assert digest.hexdigest() == RANDOM_ROUNDS_DIGEST

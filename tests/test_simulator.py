@@ -113,8 +113,9 @@ def test_identical_config_identical_artifacts(tmp_path):
 
 
 # sha256 over each pinned day's artifact set: ledger.ndjson, wallets.csv,
-# metrics.json, consensus_trace.csv and the 16 report CSVs.  The faulty day
-# has failed rounds, so tallies short of quorum reach the trace.
+# metrics.json, consensus_trace.csv and the 16 report CSVs.  The faulty days
+# have failed rounds, so tallies short of quorum reach the trace; the
+# 32-validator day adds a `delay` node and n > 7.
 GOLDEN_DAYS = {
     "4 validators": (
         {}, "63025e9fff7d9cecab118a9da69ae54ded486a0c39fe2406974a17c528e2399f"),
@@ -122,6 +123,10 @@ GOLDEN_DAYS = {
         {"n_active_nodes": 7, "drop_probability": 0.1,
          "byzantine": ((5, "silent"), (6, "equivocate"))},
         "26017720ba38e8e13f11d4ccde1c1addc2ca7e33c237d667cfa41f879e356c1a"),
+    "32 validators, 5% drops, silent, delay and equivocating nodes": (
+        {"synthetic_users": 60, "n_active_nodes": 32, "drop_probability": 0.05,
+         "byzantine": ((29, "silent"), (30, "delay"), (31, "equivocate"))},
+        "103d0bf7fa64e69da064ff6396df42f122b3930008b708276de7ca9159c92079"),
 }
 
 
@@ -254,9 +259,25 @@ def test_child_seeds_are_stable_and_distinct():
 
 def test_artifacts_written(tmp_path):
     run(small_config(), out_dir=tmp_path)
-    for name in ("ledger.ndjson", "wallets.csv", "metrics.json",
-                 "consensus_trace.csv", "manifest.json", "run_config.json"):
+    for name in ("ledger.ndjson", "wallets.csv", "metrics.json", "consensus_trace.csv",
+                 "equivocations.csv", "manifest.json", "run_config.json"):
         assert (tmp_path / name).exists()
     assert (tmp_path / "population" / "persons.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["hash_algorithm"] == "sha256"
+    for name in ("population/persons.csv", "population/trips.csv", "run_config.json"):
+        assert manifest["inputs"][name] == hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest()
+
+
+def test_equivocation_evidence_exported(tmp_path):
+    result = run(small_config(synthetic_users=60, n_active_nodes=7, drop_probability=0.1,
+                              byzantine=((5, "silent"), (6, "equivocate"))),
+                 out_dir=tmp_path)
+    lines = (tmp_path / "equivocations.csv").read_text().splitlines()
+    assert lines[0] == "round,voter,hashes"
+    assert result.equivocations and len(lines) == 1 + len(result.equivocations)
+    for line, (voter, round_no, hashes) in zip(lines[1:], result.equivocations):
+        row = line.split(",")
+        assert row == [str(round_no), voter, ";".join(hashes)]
+        assert len(hashes) == 2 and voter == result.ledger.validators[6]
