@@ -48,10 +48,6 @@ class IoFailure(AnalyticsError):
     pass
 
 
-DIMENSIONS = ("age_band", "gender", "employment", "occupation", "student_status",
-              "licence", "n_trips", "household_size", "household_cars",
-              "cars_per_person_ratio")
-
 BREAKDOWNS = ("by_mode", "by_travel_time_bin", "by_distance_bin",
               "trips_per_hour", "tokens_per_hour", "mode_variety_per_hour")
 
@@ -75,52 +71,31 @@ def ratio_bucket(cars: int, persons: int) -> str:
     return best[1]
 
 
-def _group_labels(dimension: str) -> list[str]:
-    if dimension == "age_band":
-        return [a.value for a in AgeBand]
-    if dimension == "gender":
-        return [g.value for g in Gender]
-    if dimension == "employment":
-        return [e.value for e in Employment]
-    if dimension == "occupation":
-        return [o.value for o in Occupation]
-    if dimension == "student_status":
-        return [s.value for s in StudentStatus]
-    if dimension == "licence":
-        return ["yes", "no"]
-    if dimension == "n_trips":
-        return ["0", "1", "2", "3+"]
-    if dimension == "household_size":
-        return ["1", "2", "3", "4", "5", "6+"]
-    if dimension == "household_cars":
-        return ["0", "1", "2", "3", "4+"]
-    if dimension == "cars_per_person_ratio":
-        return ["0", "1:6", "1:5", "1:4", "1:3", "1:2", "1:1", ">1:1"]
-    raise UnknownDimension(dimension)
+def _bounded(value: int, top: int) -> str:
+    """The count as a label, with `top` and above pooled as "top+"."""
+    return str(value) if value < top else f"{top}+"
 
 
-def _group_of(person, n_trips: int, dimension: str) -> str:
-    if dimension == "age_band":
-        return person.age_band.value
-    if dimension == "gender":
-        return person.gender.value
-    if dimension == "employment":
-        return person.employment.value
-    if dimension == "occupation":
-        return person.occupation.value
-    if dimension == "student_status":
-        return person.student_status.value
-    if dimension == "licence":
-        return "yes" if person.has_licence else "no"
-    if dimension == "n_trips":
-        return str(n_trips) if n_trips < 3 else "3+"
-    if dimension == "household_size":
-        return str(person.household_size) if person.household_size < 6 else "6+"
-    if dimension == "household_cars":
-        return str(person.household_cars) if person.household_cars < 4 else "4+"
-    if dimension == "cars_per_person_ratio":
-        return ratio_bucket(person.household_cars, person.household_size)
-    raise UnknownDimension(dimension)
+# dimension -> (its row labels in report order, (person, the person's trip
+# count) -> row label); the entries are in report order
+_GROUPINGS = {
+    "age_band": ([a.value for a in AgeBand], lambda p, n_trips: p.age_band.value),
+    "gender": ([g.value for g in Gender], lambda p, n_trips: p.gender.value),
+    "employment": ([e.value for e in Employment], lambda p, n_trips: p.employment.value),
+    "occupation": ([o.value for o in Occupation], lambda p, n_trips: p.occupation.value),
+    "student_status": ([s.value for s in StudentStatus],
+                       lambda p, n_trips: p.student_status.value),
+    "licence": (["yes", "no"], lambda p, n_trips: "yes" if p.has_licence else "no"),
+    "n_trips": (["0", "1", "2", "3+"], lambda p, n_trips: _bounded(n_trips, 3)),
+    "household_size": (["1", "2", "3", "4", "5", "6+"],
+                       lambda p, n_trips: _bounded(p.household_size, 6)),
+    "household_cars": (["0", "1", "2", "3", "4+"],
+                       lambda p, n_trips: _bounded(p.household_cars, 4)),
+    "cars_per_person_ratio": (["0", "1:6", "1:5", "1:4", "1:3", "1:2", "1:1", ">1:1"],
+                              lambda p, n_trips: ratio_bucket(p.household_cars,
+                                                              p.household_size)),
+}
+DIMENSIONS = tuple(_GROUPINGS)
 
 
 @dataclass
@@ -172,38 +147,48 @@ class TripReport:
     rows: list[TripRow]
 
 
-def _per_user(result: DayRecord):
-    """(net centi, trip count, distance, mode counts) per user id."""
-    stats = {
-        p.user_id: {"net": result.grants[p.user_id].centi, "trips": 0,
-                    "dist": 0.0, "modes": {}}
-        for p in result.persons
-    }
+# (net centi, trip count, distance in metres, trips per mode value)
+UserStats = tuple[int, int, float, dict[str, int]]
+
+
+def per_user_stats(result: DayRecord) -> dict[str, UserStats]:
+    """Each user's stats, by user id."""
+    stats = {p.user_id: [result.grants[p.user_id].centi, 0, 0.0, {}] for p in result.persons}
+    costs = result.trip_costs
     for trip in result.trips:
-        _, cost = result.trip_costs[trip.trip_id]
         s = stats[trip.user_id]
-        s["net"] -= cost.centi
-        s["trips"] += 1
-        s["dist"] += trip.distance_m
-        s["modes"][trip.mode.value] = s["modes"].get(trip.mode.value, 0) + 1
-    return stats
+        s[0] -= costs[trip.trip_id][1].centi
+        s[1] += 1
+        s[2] += trip.distance_m
+        modes = s[3]
+        mode = trip.mode.value
+        modes[mode] = modes.get(mode, 0) + 1
+    return {uid: tuple(s) for uid, s in stats.items()}
 
 
-def leftovers_by(result: DayRecord, dimension: str) -> LeftoverReport:
-    """Mean net position, trip count, distance and mode shares per group."""
-    if dimension not in DIMENSIONS:
+def leftovers_by(result: DayRecord, dimension: str,
+                 stats: Mapping[str, UserStats] | None = None) -> LeftoverReport:
+    """Mean net position, trip count, distance and mode shares per group.
+
+    `stats` is `per_user_stats(result)`, computed here when not given; it is
+    read, never written, so one computation can serve every dimension.
+    """
+    if dimension not in _GROUPINGS:
         raise UnknownDimension(dimension)
-    stats = _per_user(result)
-    rows = {label: LeftoverRow(label, 0, 0, 0, 0.0, {}) for label in _group_labels(dimension)}
+    labels, group_of = _GROUPINGS[dimension]
+    if stats is None:
+        stats = per_user_stats(result)
+    rows = {label: LeftoverRow(label, 0, 0, 0, 0.0, {}) for label in labels}
     for person in result.persons:
-        s = stats[person.user_id]
-        row = rows[_group_of(person, s["trips"], dimension)]
+        net, n_trips, distance, modes = stats[person.user_id]
+        row = rows[group_of(person, n_trips)]
         row.n_users += 1
-        row.net_total_centi += s["net"]
-        row.n_trips += s["trips"]
-        row.total_distance_m += s["dist"]
-        for mode, count in s["modes"].items():
-            row.mode_counts[mode] = row.mode_counts.get(mode, 0) + count
+        row.net_total_centi += net
+        row.n_trips += n_trips
+        row.total_distance_m += distance
+        mode_counts = row.mode_counts
+        for mode, count in modes.items():
+            mode_counts[mode] = mode_counts.get(mode, 0) + count
     return LeftoverReport(dimension, list(rows.values()))
 
 
@@ -265,7 +250,8 @@ def trip_breakdown(result: DayRecord, breakdown: str) -> TripReport:
 
 
 def all_reports(result: DayRecord) -> tuple[list[LeftoverReport], list[TripReport]]:
-    return ([leftovers_by(result, d) for d in DIMENSIONS],
+    stats = per_user_stats(result)
+    return ([leftovers_by(result, d, stats) for d in DIMENSIONS],
             [trip_breakdown(result, b) for b in BREAKDOWNS])
 
 

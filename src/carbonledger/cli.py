@@ -85,6 +85,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_chain(path: str | Path) -> ledger_mod.Ledger:
+    """Import a ledger export; bytes that are not UTF-8 are malformed input
+    like any other."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ledger_mod.ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    return ledger_mod.import_chain(text)
+
+
 def _load_run_dir(run_dir: Path):
     ledger_file = run_dir / "ledger.ndjson"
     manifest_file = run_dir / "manifest.json"
@@ -94,7 +104,7 @@ def _load_run_dir(run_dir: Path):
     for path in (ledger_file, manifest_file, config_file, persons_file, trips_file):
         if not path.exists():
             raise MissingArtifact(str(path))
-    chain = ledger_mod.import_chain(ledger_file.read_text())
+    chain = _read_chain(ledger_file)
     manifest = json.loads(manifest_file.read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_file} is not a JSON object")
@@ -145,7 +155,7 @@ def cmd_report(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        chain = ledger_mod.import_chain(Path(args.ledger_file).read_text())
+        chain = _read_chain(args.ledger_file)
     except (OSError, ledger_mod.ParseError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
     report = ledger_mod.verify_chain(chain)
@@ -159,7 +169,7 @@ def cmd_verify(args) -> int:
 
 def cmd_inspect(args) -> int:
     try:
-        chain = ledger_mod.import_chain(Path(args.ledger_file).read_text())
+        chain = _read_chain(args.ledger_file)
     except (OSError, ledger_mod.ParseError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
     try:

@@ -124,32 +124,27 @@ class TokenTransaction:
     description: str = ""
     signature: str = ""
 
+    def payload_fields(self) -> tuple[str, ...]:
+        """Every field except tx_id and signature, rendered as hashed."""
+        return (repr(self.timestamp), self.sender, self.receiver, str(self.amount),
+                self.kind.value, self.description)
+
     def payload_digest(self) -> str:
         """Digest of every field except tx_id and signature."""
-        return digest(
-            "tx",
-            repr(self.timestamp),
-            self.sender,
-            self.receiver,
-            str(self.amount),
-            self.kind.value,
-            self.description,
-        )
+        return _payload_digest(self.payload_fields())
 
     def canonical(self) -> str:
         """Full record line, the unit hashed into blocks."""
-        return "|".join(
-            (
-                self.tx_id,
-                repr(self.timestamp),
-                self.sender,
-                self.receiver,
-                str(self.amount),
-                self.kind.value,
-                self.description,
-                self.signature,
-            )
-        )
+        return _canonical_line(self, self.payload_fields())
+
+
+# `verify_chain` renders each tx once and derives both forms below from it
+def _payload_digest(fields: tuple[str, ...]) -> str:
+    return digest("tx", *fields)
+
+
+def _canonical_line(tx: TokenTransaction, fields: tuple[str, ...]) -> str:
+    return "|".join((tx.tx_id, *fields, tx.signature))
 
 
 def make_transaction(
@@ -188,7 +183,12 @@ class Block:
 def compute_block_hash(
     height: int, prev_hash: str, txs: Sequence[TokenTransaction], creator: str
 ) -> str:
-    return digest("blk", str(height), prev_hash, creator, *(tx.canonical() for tx in txs))
+    return _block_digest(height, prev_hash, creator, [tx.canonical() for tx in txs])
+
+
+def _block_digest(height: int, prev_hash: str, creator: str, lines: Sequence[str]) -> str:
+    """Block hash over the canonical lines of its transactions."""
+    return digest("blk", str(height), prev_hash, creator, *lines)
 
 
 def with_signatures(block: Block, signatures: Iterable[tuple[str, str]]) -> Block:
@@ -225,6 +225,11 @@ def _reject(code: str, detail: str) -> ValidationResult:
 
 def validate_stateless(tx: TokenTransaction) -> ValidationResult:
     """Well-formedness only: reads no ledger state by construction."""
+    return _validate_stateless(tx, tx.payload_digest())
+
+
+def _validate_stateless(tx: TokenTransaction, payload_digest: str) -> ValidationResult:
+    """`validate_stateless`, given the digest recomputed from tx's fields."""
     if not tx.amount.is_positive:
         return _reject(MALFORMED_AMOUNT, f"amount must be positive, got {tx.amount}")
     for label, addr in (("sender", tx.sender), ("receiver", tx.receiver)):
@@ -234,7 +239,7 @@ def validate_stateless(tx: TokenTransaction) -> ValidationResult:
         return _reject(UNKNOWN_ADDRESS, "sender and receiver are the same address")
     if tx.kind is TxKind.TRIP_PAYMENT and "trip:" not in tx.description:
         return _reject(MALFORMED_DESCRIPTION, "trip payment carries no trip id")
-    if tx.payload_digest() != tx.tx_id:
+    if payload_digest != tx.tx_id:
         return _reject(HASH_MISMATCH, "tx_id does not match recomputed payload hash")
     if tx.signature != sign_payload(tx.sender, tx.tx_id):
         return _reject(BAD_SIGNATURE, "signature does not verify against sender")
@@ -617,14 +622,16 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
     for i, block in enumerate(chain):
         if block.height != i:
             found.append(Violation(i, "bad_height", f"stored height {block.height}"))
+        rendered = [tx.payload_fields() for tx in block.txs]
+        lines = [_canonical_line(tx, fields) for tx, fields in zip(block.txs, rendered)]
         # link check cascades: once a block's recomputed hash diverges, every
         # later link is reported broken as well
-        recomputed = compute_block_hash(i, block.prev_hash, block.txs, block.creator)
+        recomputed = _block_digest(i, block.prev_hash, block.creator, lines)
         if block.prev_hash != expected_prev:
             found.append(
                 Violation(i, "broken_link", "prev_hash does not match previous block")
             )
-            expected_prev = compute_block_hash(i, expected_prev, block.txs, block.creator)
+            expected_prev = _block_digest(i, expected_prev, block.creator, lines)
         else:  # intact link: the next block's expected prev_hash is this recomputation
             expected_prev = recomputed
         if recomputed != block.block_hash:
@@ -644,8 +651,8 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
                 Violation(i, "quorum_missing", f"{len(valid_sigs)} of {quorum} required")
             )
 
-        for tx in block.txs:
-            res = validate_stateless(tx)
+        for tx, fields in zip(block.txs, rendered):
+            res = _validate_stateless(tx, _payload_digest(fields))
             if not res.ok:
                 kind = "tx_hash_mismatch" if res.code == HASH_MISMATCH else (
                     "bad_tx_signature" if res.code == BAD_SIGNATURE else "malformed_tx"
@@ -695,7 +702,7 @@ def _tx_to_obj(tx: TokenTransaction) -> dict:
 
 def _tx_from_obj(obj: dict) -> TokenTransaction:
     try:
-        return TokenTransaction(
+        tx = TokenTransaction(
             tx_id=obj["tx_id"],
             timestamp=float(obj["timestamp"]),
             sender=obj["sender"],
@@ -707,6 +714,12 @@ def _tx_from_obj(obj: dict) -> TokenTransaction:
         )
     except (KeyError, ValueError, TokenValueError) as exc:
         raise ParseError(f"bad transaction record: {exc}") from exc
+    if not (isinstance(tx.tx_id, str) and isinstance(tx.sender, str)
+            and isinstance(tx.receiver, str) and isinstance(tx.description, str)
+            and isinstance(tx.signature, str)):
+        raise ParseError("bad transaction record: tx_id, sender, receiver, "
+                         "description and signature must be strings")
+    return tx
 
 
 def block_to_line(block: Block) -> str:
@@ -729,9 +742,10 @@ def export_chain(ledger: Ledger) -> str:
 def import_chain(text: str) -> Ledger:
     """Parse an export back into a Ledger.
 
-    Parsing is shape-only: hashes and balances are *not* enforced here, so a
-    tampered file imports fine and `verify_chain` does the detecting.  The
-    validator set is recovered from the genesis signatures.
+    Parsing checks shape and field types only: hashes and balances are *not*
+    enforced here, so a tampered file imports fine and `verify_chain` does
+    the detecting.  The validator set is recovered from the genesis
+    signatures.
     """
     blocks: list[Block] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -747,7 +761,14 @@ def import_chain(text: str) -> Ledger:
                 block_hash=obj["block_hash"],
                 signatures=tuple((s[0], s[1]) for s in obj["signatures"]),
             )
-        except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError) as exc:
+            if not (isinstance(block.prev_hash, str) and isinstance(block.creator, str)
+                    and isinstance(block.block_hash, str)):
+                raise ParseError("prev_hash, creator and block_hash must be strings")
+            for addr, att in block.signatures:
+                if not (isinstance(addr, str) and isinstance(att, str)):
+                    raise ParseError("a signature entry is not a pair of strings")
+        except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError,
+                ParseError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         blocks.append(block)
     if not blocks:

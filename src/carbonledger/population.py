@@ -107,6 +107,25 @@ class RejectedRow:
     reason: str
 
 
+def _member_parser(enum_cls):
+    """Text -> member of `enum_cls` through a value lookup; a miss goes to
+    the enum constructor, which raises its usual ValueError."""
+    members = {member.value: member for member in enum_cls}
+
+    def parse(text: str):
+        member = members.get(text)
+        return enum_cls(text) if member is None else member
+    return parse
+
+
+_age_band = _member_parser(AgeBand)
+_gender = _member_parser(Gender)
+_employment = _member_parser(Employment)
+_occupation = _member_parser(Occupation)
+_student_status = _member_parser(StudentStatus)
+_mode = _member_parser(Mode)
+
+
 def _parse_bool(text: str) -> bool:
     if text.lower() in ("true", "1", "yes"):
         return True
@@ -134,11 +153,11 @@ def load_population(
             try:
                 persons.append(SurveyPerson(
                     user_id=rec["user_id"],
-                    age_band=AgeBand(rec["age_band"]),
-                    gender=Gender(rec["gender"]),
-                    employment=Employment(rec["employment"]),
-                    occupation=Occupation(rec["occupation"]),
-                    student_status=StudentStatus(rec["student_status"]),
+                    age_band=_age_band(rec["age_band"]),
+                    gender=_gender(rec["gender"]),
+                    employment=_employment(rec["employment"]),
+                    occupation=_occupation(rec["occupation"]),
+                    student_status=_student_status(rec["student_status"]),
                     has_licence=_parse_bool(rec["has_licence"]),
                     household_size=int(rec["household_size"]),
                     household_cars=int(rec["household_cars"]),
@@ -169,7 +188,7 @@ def load_population(
                 trips.append(TripRecord(
                     trip_id=rec["trip_id"],
                     user_id=rec["user_id"],
-                    mode=Mode(rec["mode"]),
+                    mode=_mode(rec["mode"]),
                     start_time=float(rec["start_time"]),
                     end_time=float(rec["end_time"]),
                     distance_m=float(rec["distance_m"]),

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from carbonledger.analytics import (
+    BREAKDOWNS,
     DIMENSIONS,
     UnknownBreakdown,
     UnknownDimension,
@@ -193,6 +194,13 @@ def test_all_walk_day_reports_zero_by_mode(tmp_path):
     result = make_result(seed=5, users=20, profile_path=path)
     report = trip_breakdown(result, "by_mode")
     assert all(r.total_centi == 0 for r in report.rows)
+
+
+def test_all_reports_equal_each_report_on_its_own(result):
+    # all_reports shares one per-user pass between the leftover reports
+    leftovers, trip_reports = all_reports(result)
+    assert leftovers == [leftovers_by(result, d) for d in DIMENSIONS]
+    assert trip_reports == [trip_breakdown(result, b) for b in BREAKDOWNS]
 
 
 # --- export ---

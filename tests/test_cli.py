@@ -159,6 +159,42 @@ def test_verify_garbage_file_exits_2(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("command", ["verify", "inspect"])
+def test_non_utf8_ledger_file_exits_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.ndjson"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(capsys, command, str(bad))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "ParseError"
+
+
+def retype_description(ledger_file):
+    # a well-formed export whose first payment carries a number, not a string
+    lines = ledger_file.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["txs"][0]["description"] = 7
+    lines[1] = json.dumps(obj, separators=(",", ":"))
+    ledger_file.write_text("\n".join(lines) + "\n")
+
+
+def test_verify_mistyped_field_exits_2(tmp_path, capsys):
+    run_cli(capsys, "simulate", "-c", str(base_config(tmp_path)))
+    ledger_file = tmp_path / "out" / "ledger.ndjson"
+    retype_description(ledger_file)
+    code, _, err = run_cli(capsys, "verify", str(ledger_file))
+    assert code == 2
+    payload = json.loads(err.strip())
+    assert payload["error"] == "ParseError" and payload["detail"].startswith("line 2:")
+
+
+def test_report_mistyped_field_exits_2(tmp_path, capsys):
+    run_cli(capsys, "simulate", "-c", str(base_config(tmp_path)))
+    retype_description(tmp_path / "out" / "ledger.ndjson")
+    code, _, err = run_cli(capsys, "report", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "ParseError"
+
+
 def test_report_writes_sixteen_csvs(tmp_path, capsys):
     cfg = base_config(tmp_path)
     run_cli(capsys, "simulate", "-c", str(cfg))

@@ -1,6 +1,7 @@
 """Ledger: transactions, blocks, validation, folding, tamper evidence."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from carbonledger.ledger import (
     Ledger,
     NegativeBalanceWouldResult,
     NodeIdentity,
+    ParseError,
     QuorumMissing,
     Role,
     TxKind,
@@ -523,6 +525,47 @@ def test_export_import_round_trip():
     # the genesis signature set recovers the validators (order is not carried)
     assert set(again.validators) == set(ledger.validators)
     assert verify_chain(again).ok
+
+
+def import_with(tx_fields=None, **block_fields):
+    """Import a genesis-only export whose first tx and whose block carry the
+    given field values."""
+    obj = json.loads(export_chain(fresh_ledger()).splitlines()[0])
+    obj["txs"][0].update(tx_fields or {})
+    obj.update(block_fields)
+    return import_chain(json.dumps(obj) + "\n")
+
+
+@pytest.mark.parametrize("value", [
+    "abc", "", "1.2.3", "NaN", "Infinity", "9" * 27 + ".00", None, True, [], {},
+])
+def test_import_rejects_malformed_amounts(value):
+    with pytest.raises(ParseError, match="^line 1: "):
+        import_with({"amount": value})
+
+
+@pytest.mark.parametrize("kind", ["bogus", "", "ALLOCATION", 7, None, ["allocation"],
+                                  {"allocation": 1}])
+def test_import_rejects_unknown_kinds(kind):
+    with pytest.raises(ParseError, match="^line 1: "):
+        import_with({"kind": kind})
+
+
+@pytest.mark.parametrize("tx_fields, block_fields", [
+    ({"description": 7}, {}),
+    ({"sender": 7}, {}),
+    ({"receiver": ["ab" * 20]}, {}),
+    ({"tx_id": None}, {}),
+    ({"signature": 1.5}, {}),
+    ({}, {"prev_hash": 0}),
+    ({}, {"creator": None}),
+    ({}, {"block_hash": {"h": 1}}),
+    ({}, {"signatures": [[1, "ab"]]}),
+    ({}, {"signatures": [["ab", None]]}),
+])
+def test_import_rejects_fields_that_are_not_strings(tx_fields, block_fields):
+    with pytest.raises(ParseError, match="^line 1: .*string"):
+        import_with(tx_fields, **block_fields)
 
 
 def test_wallet_export_format():

@@ -5,6 +5,7 @@ import pytest
 from carbonledger.emissions import Mode
 from carbonledger.population import (
     DanglingUserRef,
+    RejectedRow,
     SchemaError,
     TRIPS_HEADER,
     generate_synthetic,
@@ -71,6 +72,16 @@ def test_bad_values_collected_not_dropped_silently(tmp_path):
     assert len(rejects) == 2
     assert {r.row for r in rejects} == {4, 5}
     assert all(r.file == "trips" for r in rejects)
+
+
+def test_bad_enum_values_keep_their_reject_reasons(tmp_path):
+    persons = PERSONS_CSV + "u3,elderly,female,full_time,none,none,true,1,0\n"
+    trips = TRIPS_CSV + "t3,u1,teleport,100,200,1000,1,\n"
+    _, _, rejects = load_population(*write(tmp_path, persons=persons, trips=trips))
+    assert rejects == [
+        RejectedRow("persons", 4, "user_id", "'elderly' is not a valid AgeBand"),
+        RejectedRow("trips", 4, "trip_id", "'teleport' is not a valid Mode"),
+    ]
 
 
 def test_empty_trips_file_is_a_valid_zero_trip_day(tmp_path):
