@@ -116,12 +116,13 @@ def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     try:
         chain, manifest, cfg, persons_file, trips_file = _load_run_dir(run_dir)
+        hashes = simulator.input_hashes(run_dir, cfg)
     except (MissingArtifact, OSError, ValueError,
             ledger_mod.ParseError, json.JSONDecodeError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
 
     # provenance: the exported chain must still verify and match the manifest,
-    # and the population and config must be the ones the run hashed
+    # and the population, config and factor table must be the ones the run hashed
     report = ledger_mod.verify_chain(chain)
     if not report.ok or manifest.get("ledger_head") != chain.head.block_hash:
         detail = "; ".join(
@@ -131,8 +132,7 @@ def cmd_report(args) -> int:
     recorded = manifest.get("inputs")
     if not isinstance(recorded, dict):
         recorded = {}
-    changed = [name for name, sha in simulator.input_hashes(run_dir).items()
-               if recorded.get(name) != sha]
+    changed = [name for name, sha in hashes.items() if recorded.get(name) != sha]
     if changed:
         return _fail(Exception("provenance check failed: manifest input hash does not "
                                f"match {', '.join(changed)}"), EXIT_PROVENANCE)

@@ -30,7 +30,6 @@ class Mode(Enum):
     BICYCLE = "bicycle"
 
 
-MOTORIZED = frozenset({Mode.CAR, Mode.RIDE_HAIL, Mode.BUS, Mode.SCHOOL_BUS})
 ZERO_EMISSION = frozenset({Mode.WALK, Mode.BICYCLE})
 PER_SEAT_MODES = frozenset({Mode.BUS, Mode.SCHOOL_BUS})
 
@@ -39,16 +38,12 @@ class EmissionsError(Exception):
     pass
 
 
-class ZeroDuration(EmissionsError):
-    pass
+class FieldError(ValueError):
+    """A record field holds a value its column does not allow."""
 
-
-class NegativeDistance(EmissionsError):
-    pass
-
-
-class ZeroPassengers(EmissionsError):
-    pass
+    def __init__(self, field: str, detail: str):
+        super().__init__(detail)
+        self.field = field
 
 
 class MissingFactor(EmissionsError):
@@ -75,11 +70,11 @@ class TripRecord:
 
     def __post_init__(self):
         if self.end_time <= self.start_time:
-            raise ValueError(f"trip {self.trip_id}: end_time must exceed start_time")
+            raise FieldError("end_time", f"trip {self.trip_id}: end_time must exceed start_time")
         if self.distance_m < 0:
-            raise ValueError(f"trip {self.trip_id}: negative distance")
+            raise FieldError("distance_m", f"trip {self.trip_id}: negative distance")
         if self.passengers < 1:
-            raise ValueError(f"trip {self.trip_id}: passengers must be >= 1")
+            raise FieldError("passengers", f"trip {self.trip_id}: passengers must be >= 1")
 
     @property
     def duration_s(self) -> float:
@@ -187,8 +182,6 @@ class BusChargingPolicy:
 
 def average_speed(trip: TripRecord) -> float:
     """km/h from trip distance and duration."""
-    if trip.duration_s <= 0:
-        raise ZeroDuration(trip.trip_id)
     return (trip.distance_m / 1000.0) / (trip.duration_s / 3600.0)
 
 
@@ -202,8 +195,6 @@ def trip_emissions(trip: TripRecord, table: EmissionFactorTable) -> float:
     """Total CO2e grams for the whole vehicle trip."""
     if trip.mode in ZERO_EMISSION:
         return 0.0
-    if trip.distance_m < 0:
-        raise NegativeDistance(trip.trip_id)
     if trip.distance_m == 0:
         return 0.0
     factor = table.factor(_class_key(trip, table), average_speed(trip))
@@ -217,14 +208,10 @@ def per_user_emissions(total_g: float, trip: TripRecord,
     Cars and ride-hail split by occupancy; buses charge per average seat
     regardless of occupancy; walking and cycling are free.
     """
-    if total_g < 0:
-        raise NegativeDistance(trip.trip_id)
     if trip.mode in ZERO_EMISSION:
         return 0.0
     if trip.mode in PER_SEAT_MODES:
         return total_g / bus_policy.seats_per_bus
-    if trip.passengers < 1:
-        raise ZeroPassengers(trip.trip_id)
     return total_g / trip.passengers
 
 

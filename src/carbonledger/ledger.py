@@ -5,20 +5,20 @@ it.  Values are immutable: `apply_block` returns a new value and leaves the
 input as it was, so snapshots can be handed to readers freely while the
 single consensus commit path appends.
 
-The values derived from one another share a single wallet map, tx index and
-block list, so a commit costs O(block) rather than O(wallets + height).
-Only one value at a time has its state in those shared structures; every
-other value keeps the inverse diff that turns its successor's state into
-its own (Baker's shallow binding, rerooted as in Conchon and Filliâtre's
-persistent arrays).  Reading any map of a value reroots the structures to
-it, undoing or redoing the diffs along the way, so reading an old value
-costs O(blocks between it and the value read last) and stays correct.
+The values derived with `apply_block` share one wallet map, tx index and
+block list, and the value derived last owns them, so a commit costs
+O(block) rather than O(wallets + height).  Each value keeps its parent and
+its head block.  Reading a value that does not own the shared state (one
+that has since been extended, or a sibling derived from the same parent)
+refolds its chain from its root with `fold_transaction` in O(height); the
+value then owns that fresh copy.  A root (from `create_genesis`,
+`import_chain` or the constructor) keeps the state it was given, and every
+refold starts from it.
 
-`balances` and `tx_index` are read-only views of the shared maps.  A view
-shows the state of the value it came from only until another value of the
-same history is read or any of them is extended; copy it
-(`dict(ledger.balances)`) to keep it longer.  A failed `apply_block`
-writes nothing.
+`balances` and `tx_index` are read-only views of the maps a value owns.  A
+view shows the value's state until that value is extended with
+`apply_block`; copy it (`dict(ledger.balances)`) to keep it longer.  A
+failed `apply_block` writes nothing.
 
 Wallet state is only ever changed by `fold_transaction`, which folds one
 transaction into a balance map: genesis, `apply_block`, `validate_pool`,
@@ -287,13 +287,16 @@ class ParseError(LedgerError):
 class Ledger:
     """Chain plus derived wallet state; values are immutable after commit.
 
-    The constructor copies its arguments into fresh shared structures; the
-    values later derived with `apply_block` share them (see the module
+    The constructor makes a root, which copies its arguments and never
+    writes them again.  The values derived with `apply_block` share the
+    state owned by the one derived last; reading any other (superseded)
+    value refolds its chain from its root in O(height).  A `balances` or
+    `tx_index` view holds until its value is extended (see the module
     docstring).
     """
 
-    __slots__ = ("registry", "validators", "minted_centi", "_balances", "_tx_index",
-                 "_blocks", "_head", "_chain", "_next", "_diff")
+    __slots__ = ("registry", "validators", "minted_centi", "_parent", "_head",
+                 "_balances", "_tx_index", "_blocks")
 
     def __init__(
         self,
@@ -307,51 +310,47 @@ class Ledger:
         self.registry = registry
         self.validators = validators
         self.minted_centi = minted_centi
+        self._parent: Optional[Ledger] = None
+        self._blocks = list(chain)
+        self._head = self._blocks[-1] if self._blocks else None
         self._balances = dict(balances)
         self._tx_index = dict(tx_index)
-        self._chain: Optional[tuple[Block, ...]] = tuple(chain)
-        self._blocks = list(self._chain)
-        self._head = self._chain[-1] if self._chain else None
-        # None while this value's state is the one in the shared structures;
-        # otherwise the value whose state `_diff` turns into this one's
-        self._next: Optional[Ledger] = None
-        self._diff: Optional[_Diff] = None
 
-    def _reroot(self) -> None:
-        """Put this value's state into the shared structures."""
-        if self._next is None:
-            return
-        path = []
-        node = self
-        while node._next is not None:
-            path.append(node)
-            node = node._next
-        for older in reversed(path):
-            newer = older._next
-            newer._next, newer._diff = older, _swap(
-                older._diff, older._balances, older._tx_index, older._blocks)
-            older._next = older._diff = None
+    def _state(self) -> tuple[dict[str, int], dict[str, tuple[int, int]], list[Block]]:
+        """This value's wallet map, tx index and block list, refolded from
+        its root first unless it owns them.
+
+        Only the owner of shared state appends to it, and each append raises
+        the height of its last block by one, so a derived value owns its
+        structures exactly while its head is their last block.
+        """
+        if self._parent is not None and self._blocks[-1] is not self._head:
+            heads = []
+            node = self
+            while node._parent is not None:
+                heads.append(node._head)
+                node = node._parent
+            heads.reverse()
+            self._balances, self._tx_index, _ = _fold_blocks(
+                heads, dict(node._balances), dict(node._tx_index))
+            self._blocks = node._blocks + heads
+        return self._balances, self._tx_index, self._blocks
 
     # -- introspection --
 
     @property
     def chain(self) -> tuple[Block, ...]:
-        if self._chain is None:
-            self._reroot()
-            self._chain = tuple(self._blocks)
-        return self._chain
+        return tuple(self._state()[2])
 
     @property
     def balances(self) -> Mapping[str, int]:
         """Read-only view; see the module docstring for how long it holds."""
-        self._reroot()
-        return MappingProxyType(self._balances)
+        return MappingProxyType(self._state()[0])
 
     @property
     def tx_index(self) -> Mapping[str, tuple[int, int]]:
         """Read-only view; see the module docstring for how long it holds."""
-        self._reroot()
-        return MappingProxyType(self._tx_index)
+        return MappingProxyType(self._state()[1])
 
     @property
     def head(self) -> Block:
@@ -367,14 +366,6 @@ class Ledger:
 
     def balance(self, address: str) -> TokenAmount:
         return TokenAmount(self.balances.get(address, 0))
-
-    def known_addresses(self) -> set[str]:
-        known = set(self.registry)
-        for block in self.chain:
-            for tx in block.txs:
-                known.add(tx.sender)
-                known.add(tx.receiver)
-        return known
 
     # -- stateful validation --
 
@@ -417,7 +408,8 @@ class Ledger:
         """Fold one committed block; returns a new ledger value.
 
         Every check runs before the shared structures are written, so a
-        block that fails leaves this value exactly as it was.
+        block that fails leaves this value exactly as it was.  The new value
+        owns the state it shares with this one (see the module docstring).
         """
         if block.prev_hash != self.head.block_hash or block.height != self.height + 1:
             raise BrokenChainLink(
@@ -432,8 +424,7 @@ class Ledger:
             raise QuorumMissing(
                 f"{len(valid_sigs)} valid signatures, quorum is {self.quorum}"
             )
-        self._reroot()
-        balances, tx_index, blocks = self._balances, self._tx_index, self._blocks
+        balances, tx_index, blocks = self._state()
         written = Overlay(balances)
         indexed: dict[str, tuple[int, int]] = {}
         minted = 0
@@ -453,57 +444,27 @@ class Ledger:
         if sum(c - balances.get(a, 0) for a, c in written.items()) != minted:
             raise LedgerError("token conservation broken after block "
                               f"{block.height}: wallets != minted")
+        if self._parent is None:  # a root keeps the state it was given
+            balances, tx_index, blocks = dict(balances), dict(tx_index), list(blocks)
+        balances.update(written)
+        tx_index.update(indexed)
+        blocks.append(block)
         new = Ledger.__new__(Ledger)
         new.registry, new.validators = self.registry, self.validators
         new.minted_centi = self.minted_centi + minted
+        new._parent, new._head = self, block
         new._balances, new._tx_index, new._blocks = balances, tx_index, blocks
-        new._head, new._chain, new._next, new._diff = block, None, None, None
-        self._diff = (_overwrite(balances, written), _overwrite(tx_index, indexed),
-                      len(blocks), ())
-        self._next = new
-        blocks.append(block)
         return new
 
     # -- queries --
 
     def query_history(self, owner: str) -> list[TokenTransaction]:
         """All committed transactions touching `owner`, chronological."""
-        if owner not in self.known_addresses():
+        out = [tx for block in self.chain for tx in block.txs
+               if tx.sender == owner or tx.receiver == owner]
+        if not out and owner not in self.registry:
             raise UnknownAddress(owner)
-        out = []
-        for block in self.chain:
-            for tx in block.txs:
-                if tx.sender == owner or tx.receiver == owner:
-                    out.append(tx)
         return out
-
-
-# What turns one value's state into a neighbour's: the wallet and index
-# entries to write (None deletes the key), the block-list length to cut back
-# to and the blocks to append after the cut.
-_Diff = tuple[dict[str, Optional[int]], dict[str, Optional[tuple[int, int]]],
-              int, tuple[Block, ...]]
-
-
-def _overwrite(target: dict, values: Mapping) -> dict:
-    """Write `values` into `target`, None deleting; returns what they replaced."""
-    replaced = {k: target.get(k) for k in values}
-    for k, v in values.items():
-        if v is None:
-            del target[k]
-        else:
-            target[k] = v
-    return replaced
-
-
-def _swap(diff: _Diff, balances: dict, tx_index: dict, blocks: list) -> _Diff:
-    """Apply `diff` to the shared structures; returns the diff that undoes it."""
-    balance_writes, index_writes, length, tail = diff
-    undo_tail = tuple(blocks[length:])
-    del blocks[length:]
-    blocks.extend(tail)
-    return (_overwrite(balances, balance_writes), _overwrite(tx_index, index_writes),
-            length, undo_tail)
 
 
 class Overlay(dict):
@@ -535,6 +496,19 @@ def fold_transaction(balances: dict[str, int], tx: TokenTransaction) -> int:
         balances[tx.sender] = balances.get(tx.sender, 0) - centi
     balances[tx.receiver] = balances.get(tx.receiver, 0) + centi
     return centi if minted else 0
+
+
+def _fold_blocks(
+    blocks: Iterable[Block], balances: dict[str, int], tx_index: dict[str, tuple[int, int]]
+) -> tuple[dict[str, int], dict[str, tuple[int, int]], int]:
+    """Fold and index every transaction of `blocks` into the two maps; returns
+    them with the centi-tokens minted."""
+    minted = 0
+    for block in blocks:
+        for pos, tx in enumerate(block.txs):
+            minted += fold_transaction(balances, tx)
+            tx_index[tx.tx_id] = (block.height, pos)
+    return balances, tx_index, minted
 
 
 def build_block(
@@ -572,12 +546,7 @@ def create_genesis(
         sorted((v.address, block_attestation(v.address, block_hash)) for v in validators)
     )
     genesis = Block(0, GENESIS_PREV_HASH, txs, creator, block_hash, sigs)
-    balances: dict[str, int] = {}
-    tx_index: dict[str, tuple[int, int]] = {}
-    minted = 0
-    for pos, tx in enumerate(txs):
-        minted += fold_transaction(balances, tx)
-        tx_index[tx.tx_id] = (0, pos)
+    balances, tx_index, minted = _fold_blocks((genesis,), {}, {})
     return Ledger(
         (genesis,), balances, tx_index, registry,
         tuple(v.address for v in validators), minted,
@@ -683,6 +652,7 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
 
 # --- export / import --------------------------------------------------------
 
+# the fields `_tx_to_obj` writes, all strings but the float timestamp
 _TX_FIELDS = ("tx_id", "timestamp", "sender", "receiver", "amount", "kind",
               "description", "signature")
 
@@ -701,25 +671,24 @@ def _tx_to_obj(tx: TokenTransaction) -> dict:
 
 
 def _tx_from_obj(obj: dict) -> TokenTransaction:
+    # every field is read below, so with the right count there is no other key
+    if len(obj) != len(_TX_FIELDS):
+        raise ParseError(f"bad transaction record: fields must be {list(_TX_FIELDS)}")
+    tx_id, timestamp, sender, receiver = (
+        obj["tx_id"], obj["timestamp"], obj["sender"], obj["receiver"])
+    amount, kind, description, signature = (
+        obj["amount"], obj["kind"], obj["description"], obj["signature"])
+    if not (type(timestamp) is float and type(tx_id) is str and type(sender) is str
+            and type(receiver) is str and type(amount) is str and type(kind) is str
+            and type(description) is str and type(signature) is str):
+        raise ParseError("bad transaction record: timestamp must be a JSON float and "
+                         "every other field a string")
     try:
-        tx = TokenTransaction(
-            tx_id=obj["tx_id"],
-            timestamp=float(obj["timestamp"]),
-            sender=obj["sender"],
-            receiver=obj["receiver"],
-            amount=TokenAmount.from_tokens(obj["amount"]),
-            kind=TxKind(obj["kind"]),
-            description=obj.get("description", ""),
-            signature=obj.get("signature", ""),
-        )
-    except (KeyError, ValueError, TokenValueError) as exc:
+        return TokenTransaction(tx_id, timestamp, sender, receiver,
+                                TokenAmount.from_tokens(amount), TxKind(kind),
+                                description, signature)
+    except (ValueError, TokenValueError) as exc:
         raise ParseError(f"bad transaction record: {exc}") from exc
-    if not (isinstance(tx.tx_id, str) and isinstance(tx.sender, str)
-            and isinstance(tx.receiver, str) and isinstance(tx.description, str)
-            and isinstance(tx.signature, str)):
-        raise ParseError("bad transaction record: tx_id, sender, receiver, "
-                         "description and signature must be strings")
-    return tx
 
 
 def block_to_line(block: Block) -> str:
@@ -753,20 +722,23 @@ def import_chain(text: str) -> Ledger:
             continue
         try:
             obj = json.loads(line)
+            if type(obj["height"]) is not int:
+                raise ParseError("height must be an integer")
+            for sig in obj["signatures"]:
+                if not (type(sig) is list and len(sig) == 2
+                        and isinstance(sig[0], str) and isinstance(sig[1], str)):
+                    raise ParseError("a signature entry is not a pair of strings")
             block = Block(
-                height=int(obj["height"]),
+                height=obj["height"],
                 prev_hash=obj["prev_hash"],
                 txs=tuple(_tx_from_obj(t) for t in obj["txs"]),
                 creator=obj["creator"],
                 block_hash=obj["block_hash"],
-                signatures=tuple((s[0], s[1]) for s in obj["signatures"]),
+                signatures=tuple(tuple(s) for s in obj["signatures"]),
             )
             if not (isinstance(block.prev_hash, str) and isinstance(block.creator, str)
                     and isinstance(block.block_hash, str)):
                 raise ParseError("prev_hash, creator and block_hash must be strings")
-            for addr, att in block.signatures:
-                if not (isinstance(addr, str) and isinstance(att, str)):
-                    raise ParseError("a signature entry is not a pair of strings")
         except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError,
                 ParseError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
@@ -775,13 +747,7 @@ def import_chain(text: str) -> Ledger:
         raise ParseError("no blocks in export")
 
     validators = tuple(a for a, _ in blocks[0].signatures)
-    balances: dict[str, int] = {}
-    tx_index: dict[str, tuple[int, int]] = {}
-    minted = 0
-    for block in blocks:
-        for pos, tx in enumerate(block.txs):
-            minted += fold_transaction(balances, tx)
-            tx_index[tx.tx_id] = (block.height, pos)
+    balances, tx_index, minted = _fold_blocks(blocks, {}, {})
     return Ledger(tuple(blocks), balances, tx_index, {}, validators, minted)
 
 

@@ -26,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .emissions import Mode, TripRecord
+from .emissions import FieldError, Mode, TripRecord
 
 
 class AgeBand(Enum):
@@ -134,6 +134,14 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _field(rec: dict[str, str], column: str, parse):
+    """`parse` applied to one column; a bad value raises FieldError naming it."""
+    try:
+        return parse(rec[column])
+    except ValueError as exc:
+        raise FieldError(column, str(exc)) from exc
+
+
 def load_population(
     persons_path: str | Path, trips_path: str | Path
 ) -> tuple[list[SurveyPerson], list[TripRecord], list[RejectedRow]]:
@@ -153,22 +161,23 @@ def load_population(
             try:
                 persons.append(SurveyPerson(
                     user_id=rec["user_id"],
-                    age_band=_age_band(rec["age_band"]),
-                    gender=_gender(rec["gender"]),
-                    employment=_employment(rec["employment"]),
-                    occupation=_occupation(rec["occupation"]),
-                    student_status=_student_status(rec["student_status"]),
-                    has_licence=_parse_bool(rec["has_licence"]),
-                    household_size=int(rec["household_size"]),
-                    household_cars=int(rec["household_cars"]),
+                    age_band=_field(rec, "age_band", _age_band),
+                    gender=_field(rec, "gender", _gender),
+                    employment=_field(rec, "employment", _employment),
+                    occupation=_field(rec, "occupation", _occupation),
+                    student_status=_field(rec, "student_status", _student_status),
+                    has_licence=_field(rec, "has_licence", _parse_bool),
+                    household_size=_field(rec, "household_size", int),
+                    household_cars=_field(rec, "household_cars", int),
                 ))
-            except ValueError as exc:
-                rejects.append(RejectedRow("persons", rowno, _blame(rec), str(exc)))
+            except FieldError as exc:
+                rejects.append(RejectedRow("persons", rowno, exc.field, str(exc)))
                 continue
             p = persons[-1]
             if p.household_size < 1 or p.household_cars < 0:
                 persons.pop()
-                rejects.append(RejectedRow("persons", rowno, "household_size",
+                column = "household_size" if p.household_size < 1 else "household_cars"
+                rejects.append(RejectedRow("persons", rowno, column,
                                            "household_size >= 1 and cars >= 0 required"))
 
     known_users = {p.user_id for p in persons}
@@ -188,23 +197,18 @@ def load_population(
                 trips.append(TripRecord(
                     trip_id=rec["trip_id"],
                     user_id=rec["user_id"],
-                    mode=_mode(rec["mode"]),
-                    start_time=float(rec["start_time"]),
-                    end_time=float(rec["end_time"]),
-                    distance_m=float(rec["distance_m"]),
-                    passengers=int(rec["passengers"]),
+                    mode=_field(rec, "mode", _mode),
+                    start_time=_field(rec, "start_time", float),
+                    end_time=_field(rec, "end_time", float),
+                    distance_m=_field(rec, "distance_m", float),
+                    passengers=_field(rec, "passengers", int),
                     vehicle_class=rec["vehicle_class"] or None,
                 ))
-            except ValueError as exc:
-                rejects.append(RejectedRow("trips", rowno, _blame(rec), str(exc)))
+            except FieldError as exc:
+                rejects.append(RejectedRow("trips", rowno, exc.field, str(exc)))
 
     trips.sort(key=lambda t: (t.start_time, t.trip_id))
     return persons, trips, rejects
-
-
-def _blame(rec: dict) -> str:
-    # best-effort column attribution for the rejects report
-    return next(iter(rec)) if rec else "row"
 
 
 def write_population(persons: Sequence[SurveyPerson], trips: Sequence[TripRecord],

@@ -17,7 +17,8 @@ import json
 import statistics
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import (Mapping, Optional, Sequence, Union, get_args, get_origin,
+                    get_type_hints)
 
 from .consensus import (
     Behavior,
@@ -77,6 +78,21 @@ def child_seed(seed: int, label: str) -> int:
     return int.from_bytes(h[:8], "big") >> 1
 
 
+def _fits(value, hint) -> bool:
+    """Whether a parsed JSON value has the shape of a type annotation."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple:  # written as a JSON array
+        if type(value) is not list:
+            return False
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(value) == len(items) and all(map(_fits, value, items))
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint  # so true and false are not integers
+
+
 @dataclass
 class SimulationConfig:
     seed: int = 0
@@ -103,13 +119,19 @@ class SimulationConfig:
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":
         obj = json.loads(text)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ValueError("config is not a JSON object")
+        hints = get_type_hints(cls)
+        unknown = set(obj) - set(hints)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in obj.items():
+            if not _fits(value, hints[name]):
+                raise ValueError(f"config field {name!r} must match "
+                                 f"{cls.__annotations__[name]}, got {value!r}")
         cfg = cls(**obj)
         cfg.delays_ms = (float(cfg.delays_ms[0]), float(cfg.delays_ms[1]))
-        cfg.byzantine = tuple((int(i), str(b)) for i, b in cfg.byzantine)
+        cfg.byzantine = tuple((i, b) for i, b in cfg.byzantine)
         return cfg
 
     def to_canonical_json(self) -> str:
@@ -369,10 +391,15 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
 REPORT_INPUTS = ("population/persons.csv", "population/trips.csv", "run_config.json")
 
 
-def input_hashes(run_dir: Path) -> dict[str, str]:
-    """sha256 of each of the run directory's `REPORT_INPUTS`."""
-    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-            for name in REPORT_INPUTS}
+def input_hashes(run_dir: Path, config: SimulationConfig) -> dict[str, str]:
+    """sha256 of each of the run directory's `REPORT_INPUTS` and, keyed by
+    its path, of the factor table the config names, which `report` re-prices
+    trips from."""
+    paths = {name: run_dir / name for name in REPORT_INPUTS}
+    if config.factors_file:
+        paths[config.factors_file] = Path(config.factors_file)
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in paths.items()}
 
 
 def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
@@ -400,6 +427,6 @@ def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
         "config_hash": result.config.config_hash(),
         "ledger_head": result.ledger.head.block_hash,
         "hash_algorithm": HASH_ALGORITHM,
-        "inputs": input_hashes(out),
+        "inputs": input_hashes(out, result.config),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -64,10 +64,6 @@ class TokenAmount:
     def is_positive(self) -> bool:
         return self.centi > 0
 
-    @property
-    def is_negative(self) -> bool:
-        return self.centi < 0
-
     def __add__(self, other: "TokenAmount") -> "TokenAmount":
         return TokenAmount(self.centi + other.centi)
 

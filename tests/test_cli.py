@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from importlib import resources
 
 import pytest
 
@@ -40,6 +41,23 @@ def test_simulate_missing_trips_file_exits_2_with_json(tmp_path, capsys):
     assert code == 2
     payload = json.loads(err.strip())
     assert "error" in payload and "detail" in payload
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"n_active_nodes": "4"}, "n_active_nodes"),
+    ({"delays_ms": 5}, "delays_ms"),
+    ({"synthetic_users": 3.5}, "synthetic_users"),
+    ({"price_cad_per_tonne": "20"}, "price_cad_per_tonne"),
+    ({"unsafe_faults": 1}, "unsafe_faults"),
+    ([1], "JSON object"),
+])
+def test_simulate_mistyped_config_exits_2(tmp_path, capsys, config, named):
+    path = tmp_path / "day.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "simulate", "-c", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    payload = json.loads(err.strip())
+    assert payload["error"] == "ValueError" and named in payload["detail"]
 
 
 def test_simulate_with_byzantine_flag(tmp_path, capsys):
@@ -195,6 +213,28 @@ def test_report_mistyped_field_exits_2(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "ParseError"
 
 
+def test_verify_rejects_forms_export_never_writes(tmp_path, capsys):
+    run_cli(capsys, "simulate", "-c", str(base_config(tmp_path)))
+    ledger_file = tmp_path / "out" / "ledger.ndjson"
+    exported = ledger_file.read_text().splitlines()
+    forms = [
+        (0, lambda b: b.update(height=0.9)),
+        (0, lambda b: b.update(height="0")),
+        (1, lambda b: b.update(height=True)),
+        (0, lambda b: b["txs"][0].update(timestamp=repr(b["txs"][0]["timestamp"]))),
+        (0, lambda b: b["signatures"][0].append("extra")),
+    ]
+    for line, edit in forms:
+        lines = list(exported)
+        obj = json.loads(lines[line])
+        edit(obj)
+        lines[line] = json.dumps(obj, separators=(",", ":"))
+        ledger_file.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "verify", str(ledger_file))
+        assert code == 2, lines[line][:80]
+        assert json.loads(err.strip())["error"] == "ParseError"
+
+
 def test_report_writes_sixteen_csvs(tmp_path, capsys):
     cfg = base_config(tmp_path)
     run_cli(capsys, "simulate", "-c", str(cfg))
@@ -264,6 +304,22 @@ def test_report_changed_input_exits_3(tmp_path, capsys, tamper, named):
     assert code == 3
     detail = json.loads(err.strip())["detail"]
     assert "provenance" in detail and named in detail
+
+
+def test_report_changed_factor_table_exits_3(tmp_path, capsys):
+    factors = tmp_path / "factors.csv"
+    factors.write_text(resources.files("carbonledger").joinpath(
+        "data", "default_factors.csv").read_text())
+    run_cli(capsys, "simulate", "-c", str(base_config(tmp_path, factors_file=str(factors))))
+    assert run_cli(capsys, "report", str(tmp_path / "out"))[0] == 0
+    factors.write_text(factors.read_text() + "\n")
+    code, _, err = run_cli(capsys, "report", str(tmp_path / "out"))
+    assert code == 3
+    detail = json.loads(err.strip())["detail"]
+    assert "provenance" in detail and str(factors) in detail
+    factors.unlink()
+    code, _, err = run_cli(capsys, "report", str(tmp_path / "out"))
+    assert code == 2 and json.loads(err.strip())["error"] == "FileNotFoundError"
 
 
 def test_report_manifest_not_an_object_exits_2(tmp_path, capsys):

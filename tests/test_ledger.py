@@ -268,7 +268,7 @@ def test_minting_totals_accumulate():
     assert sum(ledger.balances.values()) == ledger.minted_centi
 
 
-# --- persistence: values share state, reads reroot it ---
+# --- persistence: values share state, superseded values refold it ---
 
 
 def snapshot(ledger: Ledger):

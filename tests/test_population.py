@@ -75,12 +75,19 @@ def test_bad_values_collected_not_dropped_silently(tmp_path):
 
 
 def test_bad_enum_values_keep_their_reject_reasons(tmp_path):
-    persons = PERSONS_CSV + "u3,elderly,female,full_time,none,none,true,1,0\n"
-    trips = TRIPS_CSV + "t3,u1,teleport,100,200,1000,1,\n"
+    persons = PERSONS_CSV + ("u3,elderly,female,full_time,none,none,true,1,0\n"
+                             "u4,25_39,male,full_time,none,none,true,two,0\n"
+                             "u5,25_39,male,full_time,none,none,true,2,-1\n")
+    trips = TRIPS_CSV + ("t3,u1,teleport,100,200,1000,1,\n"
+                         "t4,u1,car,500,400,1000,1,\n")
     _, _, rejects = load_population(*write(tmp_path, persons=persons, trips=trips))
     assert rejects == [
-        RejectedRow("persons", 4, "user_id", "'elderly' is not a valid AgeBand"),
-        RejectedRow("trips", 4, "trip_id", "'teleport' is not a valid Mode"),
+        RejectedRow("persons", 4, "age_band", "'elderly' is not a valid AgeBand"),
+        RejectedRow("persons", 5, "household_size",
+                    "invalid literal for int() with base 10: 'two'"),
+        RejectedRow("persons", 6, "household_cars", "household_size >= 1 and cars >= 0 required"),
+        RejectedRow("trips", 4, "mode", "'teleport' is not a valid Mode"),
+        RejectedRow("trips", 5, "end_time", "trip t4: end_time must exceed start_time"),
     ]
 
 
