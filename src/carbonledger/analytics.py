@@ -1,9 +1,9 @@
 """Token-usage breakdowns over a finished simulation.
 
-Net position is accounting, not a wallet: grant minus total trip cost, so
-it goes negative for users whose deficit purchases papered over the
-shortfall.  Group means are computed exactly over integer centi-tokens and
-rounded (half-up, two decimals) only when a report is exported.
+Net position is accounting, not a wallet: grant minus the tokens paid on
+chain, so it goes negative for users whose deficit purchases papered over
+the shortfall.  Group means are computed exactly over integer centi-tokens
+and rounded (half-up, two decimals) only when a report is exported.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class DayRecord:
 
     persons: Sequence[SurveyPerson]
     trips: Sequence[TripRecord]
-    trip_costs: Mapping[str, tuple[float, TokenAmount]]  # trip_id -> (grams, tokens)
+    trip_payments: Mapping[str, TokenAmount]  # trip_id -> tokens paid on chain
     grants: Mapping[str, TokenAmount]  # user_id -> grant
 
 
@@ -154,10 +154,10 @@ UserStats = tuple[int, int, float, dict[str, int]]
 def per_user_stats(result: DayRecord) -> dict[str, UserStats]:
     """Each user's stats, by user id."""
     stats = {p.user_id: [result.grants[p.user_id].centi, 0, 0.0, {}] for p in result.persons}
-    costs = result.trip_costs
+    paid = result.trip_payments
     for trip in result.trips:
         s = stats[trip.user_id]
-        s[0] -= costs[trip.trip_id][1].centi
+        s[0] -= paid[trip.trip_id].centi
         s[1] += 1
         s[2] += trip.distance_m
         modes = s[3]
@@ -195,14 +195,14 @@ def leftovers_by(result: DayRecord, dimension: str,
 def trip_breakdown(result: DayRecord, breakdown: str) -> TripReport:
     if breakdown not in BREAKDOWNS:
         raise UnknownBreakdown(breakdown)
-    costs = result.trip_costs
+    paid = result.trip_payments
 
     if breakdown == "by_mode":
         rows = {m.value: TripRow(m.value, 0, 0, {}) for m in MODE_ORDER}
         for t in result.trips:
             row = rows[t.mode.value]
             row.n_trips += 1
-            row.total_centi += costs[t.trip_id][1].centi
+            row.total_centi += paid[t.trip_id].centi
         return TripReport(breakdown, list(rows.values()))
 
     if breakdown in ("by_travel_time_bin", "by_distance_bin"):
@@ -214,7 +214,7 @@ def trip_breakdown(result: DayRecord, breakdown: str) -> TripReport:
             for label, lo, hi in bins:
                 if lo <= value < hi:
                     rows[label].n_trips += 1
-                    rows[label].total_centi += costs[t.trip_id][1].centi
+                    rows[label].total_centi += paid[t.trip_id].centi
                     break
         if breakdown == "by_distance_bin":
             grand = sum(r.total_centi for r in rows.values())
@@ -234,7 +234,7 @@ def trip_breakdown(result: DayRecord, breakdown: str) -> TripReport:
         for t in result.trips:
             row = rows[min(23, int(t.end_time // 3600))]
             row.n_trips += 1
-            row.total_centi += costs[t.trip_id][1].centi
+            row.total_centi += paid[t.trip_id].centi
         return TripReport(breakdown, rows)
 
     # mode_variety_per_hour

@@ -98,31 +98,28 @@ def _read_chain(path: str | Path) -> ledger_mod.Ledger:
 def _load_run_dir(run_dir: Path):
     ledger_file = run_dir / "ledger.ndjson"
     manifest_file = run_dir / "manifest.json"
-    config_file = run_dir / "run_config.json"
-    persons_file = run_dir / "population" / "persons.csv"
-    trips_file = run_dir / "population" / "trips.csv"
-    for path in (ledger_file, manifest_file, config_file, persons_file, trips_file):
+    for path in (ledger_file, manifest_file,
+                 *(run_dir / name for name in simulator.REPORT_INPUTS)):
         if not path.exists():
             raise MissingArtifact(str(path))
     chain = _read_chain(ledger_file)
     manifest = json.loads(manifest_file.read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_file} is not a JSON object")
-    cfg = simulator.SimulationConfig.from_json(config_file.read_text())
-    return chain, manifest, cfg, persons_file, trips_file
+    return chain, manifest
 
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     try:
-        chain, manifest, cfg, persons_file, trips_file = _load_run_dir(run_dir)
-        hashes = simulator.input_hashes(run_dir, cfg)
+        chain, manifest = _load_run_dir(run_dir)
+        hashes = simulator.input_hashes(run_dir)
     except (MissingArtifact, OSError, ValueError,
             ledger_mod.ParseError, json.JSONDecodeError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
 
     # provenance: the exported chain must still verify and match the manifest,
-    # and the population, config and factor table must be the ones the run hashed
+    # and the population and config must be the ones the run hashed
     report = ledger_mod.verify_chain(chain)
     if not report.ok or manifest.get("ledger_head") != chain.head.block_hash:
         detail = "; ".join(
@@ -138,16 +135,18 @@ def cmd_report(args) -> int:
                                f"match {', '.join(changed)}"), EXIT_PROVENANCE)
 
     try:
-        persons, trips, _ = population.load_population(persons_file, trips_file)
-        costs, _, _ = simulator.price_trips(cfg, trips)
+        # each trip is charged the tokens it paid on the verified chain
+        persons, trips, _ = population.load_population(
+            run_dir / "population" / "persons.csv", run_dir / "population" / "trips.csv")
         addresses = {p.user_id: ledger_mod.derive_address(p.user_id) for p in persons}
-        day = analytics.DayRecord(persons, trips, costs,
+        day = analytics.DayRecord(persons, trips,
+                                  simulator.trip_payments(addresses, trips, chain),
                                   simulator.genesis_grants(addresses, chain.chain[0].txs))
         leftovers, trip_reports = analytics.all_reports(day)
         out_dir = Path(args.out) if args.out else run_dir / "reports"
         paths = analytics.export_reports(leftovers, trip_reports, out_dir, manifest)
     except (OSError, ValueError, population.SchemaError, population.DanglingUserRef,
-            analytics.AnalyticsError, emissions.EmissionsError) as exc:
+            analytics.AnalyticsError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
     print(f"wrote {len(paths)} files to {out_dir}")
     return EXIT_OK

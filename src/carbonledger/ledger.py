@@ -684,11 +684,17 @@ def _tx_from_obj(obj: dict) -> TokenTransaction:
         raise ParseError("bad transaction record: timestamp must be a JSON float and "
                          "every other field a string")
     try:
-        return TokenTransaction(tx_id, timestamp, sender, receiver,
-                                TokenAmount.from_tokens(amount), TxKind(kind),
-                                description, signature)
+        parsed = TokenAmount.from_tokens(amount)
+        tx = TokenTransaction(tx_id, timestamp, sender, receiver, parsed, TxKind(kind),
+                              description, signature)
     except (ValueError, TokenValueError) as exc:
         raise ParseError(f"bad transaction record: {exc}") from exc
+    # the hashes cover the amount as `export_chain` renders it, so any other
+    # spelling of the same value would verify under another text
+    if str(parsed) != amount:
+        raise ParseError(f"bad transaction record: amount {amount!r} is not "
+                         f"written as {str(parsed)!r}")
+    return tx
 
 
 def block_to_line(block: Block) -> str:

@@ -44,6 +44,7 @@ from .ledger import (
     Overlay,
     Role,
     TokenTransaction,
+    TxKind,
     create_genesis,
     export_chain,
     export_wallets,
@@ -151,7 +152,8 @@ class SimulationResult:
     ledger: Ledger
     persons: list[SurveyPerson]
     trips: list[TripRecord]
-    trip_costs: dict[str, tuple[float, TokenAmount]]  # trip_id -> (grams, tokens)
+    trip_costs: dict[str, tuple[float, TokenAmount]]  # trip_id -> (grams, tokens) priced
+    trip_payments: dict[str, TokenAmount]  # trip_id -> tokens paid on chain
     grants: dict[str, TokenAmount]  # user_id -> grant
     user_addresses: dict[str, str]  # user_id -> ledger address
     cap: TokenAmount
@@ -161,6 +163,8 @@ class SimulationResult:
     tx_per_minute: list[int]
     consensus_trace: list[TraceRow]
     equivocations: list[tuple[str, int, tuple[str, ...]]]  # (voter, round, hashes)
+    # (first round, last round, last outcome, tx ids) of each pool no round committed
+    failed_pools: list[tuple[int, int, str, tuple[str, ...]]]
     rejects: list[RejectedRow]
     market: Market
 
@@ -210,20 +214,6 @@ def _settlement_description(trip: TripRecord) -> str:
     return f"trip:{trip.trip_id};mode:{trip.mode.value};vehicle:{vehicle}"
 
 
-def price_trips(config: SimulationConfig, trips: Sequence[TripRecord]
-                ) -> tuple[dict[str, tuple[float, TokenAmount]], BusChargingPolicy, PricePolicy]:
-    """Each trip's (grams, tokens) cost under the config's factor table, bus
-    policy and price; returns the costs with that bus policy and price."""
-    if config.factors_file:
-        table = EmissionFactorTable.from_csv(Path(config.factors_file).read_text())
-    else:
-        table = EmissionFactorTable.default()
-    price = PricePolicy(config.price_cad_per_tonne)
-    bus_policy = BusChargingPolicy(config.seats_per_bus, config.operator_pays_remainder)
-    costs = {t.trip_id: trip_cost(t, table, bus_policy, price) for t in trips}
-    return costs, bus_policy, price
-
-
 def genesis_grants(user_addresses: Mapping[str, str], genesis_txs: Sequence[TokenTransaction]
                    ) -> dict[str, TokenAmount]:
     """Each user's grant as minted at genesis, given user_id -> ledger
@@ -236,8 +226,23 @@ def genesis_grants(user_addresses: Mapping[str, str], genesis_txs: Sequence[Toke
     return grants
 
 
+def trip_payments(user_addresses: Mapping[str, str], trips: Sequence[TripRecord],
+                  chain: Ledger) -> dict[str, TokenAmount]:
+    """Each trip's tokens paid on chain, by trip id: its user's committed trip
+    payment with the trip's settlement description, or zero if none."""
+    paid = {(tx.sender, tx.description): tx.amount
+            for block in chain.chain for tx in block.txs if tx.kind is TxKind.TRIP_PAYMENT}
+    zero = TokenAmount.zero()
+    return {t.trip_id: paid.get((user_addresses[t.user_id], _settlement_description(t)), zero)
+            for t in trips}
+
+
 def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> SimulationResult:
     """Replay one simulated day; aborts export a partial ledger for autopsy."""
+    for name in ("n_active_nodes", "max_round_retries"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"config field {name!r} must be at least 1, "
+                             f"got {getattr(config, name)}")
     out_path = Path(out_dir) if out_dir else (
         Path(config.out_dir) if config.out_dir else None
     )
@@ -253,7 +258,11 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
         rejects = []
 
     # per-trip costs, the day's cap and the market pool
-    trip_costs, bus_policy, price = price_trips(config, trips)
+    table = (EmissionFactorTable.from_csv(Path(config.factors_file).read_text())
+             if config.factors_file else EmissionFactorTable.default())
+    price = PricePolicy(config.price_cad_per_tonne)
+    bus_policy = BusChargingPolicy(config.seats_per_bus, config.operator_pays_remainder)
+    trip_costs = {t.trip_id: trip_cost(t, table, bus_policy, price) for t in trips}
     if config.cap_mode == "explicit":
         if config.explicit_cap_tokens is None:
             raise ValueError("cap_mode=explicit needs explicit_cap_tokens")
@@ -307,6 +316,7 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     )
 
     latencies: list[float] = []
+    failed_pools: list[tuple[int, int, str, tuple[str, ...]]] = []
     tx_per_minute = [0] * MINUTES_PER_DAY
     submitted = 0
     committed = 0
@@ -320,10 +330,14 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
         submit_times = {tx.tx_id: at for tx, at in batch}
         submitted += len(pool)
         start = max(sim_time, max(submit_times.values()))
+        first = len(engine.trace)
         result, ledger, sim_time = engine.run_until_commit(
             pool, ledger, start, max_retries=config.max_round_retries
         )
         if result is None:
+            rounds = engine.trace[first:]
+            failed_pools.append((rounds[0].round, rounds[-1].round, rounds[-1].outcome,
+                                 tuple(tx.tx_id for tx in pool)))
             return
         committed += len(pool)
         market.record_committed(pool)
@@ -369,6 +383,7 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
         persons=persons,
         trips=trips,
         trip_costs=trip_costs,
+        trip_payments=trip_payments(user_addresses, trips, ledger),
         grants=grants,
         user_addresses=user_addresses,
         cap=cap,
@@ -378,6 +393,7 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
         tx_per_minute=tx_per_minute,
         consensus_trace=engine.trace,
         equivocations=engine.equivocations,
+        failed_pools=failed_pools,
         rejects=rejects,
         market=market,
     )
@@ -386,25 +402,29 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     return result
 
 
-# the run-directory files the reports are computed from, hashed into the
-# manifest so that `report` can refuse inputs changed after the run
+# the population `report` reads and the config the chain was made under, hashed
+# into the manifest so that `report` can refuse inputs changed after the run
 REPORT_INPUTS = ("population/persons.csv", "population/trips.csv", "run_config.json")
 
 
-def input_hashes(run_dir: Path, config: SimulationConfig) -> dict[str, str]:
-    """sha256 of each of the run directory's `REPORT_INPUTS` and, keyed by
-    its path, of the factor table the config names, which `report` re-prices
-    trips from."""
-    paths = {name: run_dir / name for name in REPORT_INPUTS}
-    if config.factors_file:
-        paths[config.factors_file] = Path(config.factors_file)
-    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for name, path in paths.items()}
+def input_hashes(run_dir: Path) -> dict[str, str]:
+    """sha256 of each of the run directory's `REPORT_INPUTS`."""
+    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in REPORT_INPUTS}
+
+
+def export_failed_pools(pools: Sequence[tuple[int, int, str, tuple[str, ...]]]) -> str:
+    """CSV `first_round,last_round,last_outcome,tx_ids` of the pools no round
+    committed, each pool's tx ids joined by `;`."""
+    lines = ["first_round,last_round,last_outcome,tx_ids"]
+    lines += [f"{first},{last},{outcome},{';'.join(tx_ids)}"
+              for first, last, outcome, tx_ids in pools]
+    return "\n".join(lines) + "\n"
 
 
 def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
     """Ledger export, wallet snapshot, metrics, trace, equivocation evidence,
-    population and a manifest that hashes the report inputs."""
+    failed pools, population and a manifest that hashes the report inputs."""
     out = Path(out_dir)
     (out / "population").mkdir(parents=True, exist_ok=True)
     (out / "ledger.ndjson").write_text(export_chain(result.ledger))
@@ -412,6 +432,7 @@ def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
     (out / "metrics.json").write_text(collect_metrics(result).to_json() + "\n")
     (out / "consensus_trace.csv").write_text(export_trace(result.consensus_trace))
     (out / "equivocations.csv").write_text(export_equivocations(result.equivocations))
+    (out / "failed_pools.csv").write_text(export_failed_pools(result.failed_pools))
     write_population(result.persons, result.trips,
                      out / "population" / "persons.csv",
                      out / "population" / "trips.csv")
@@ -427,6 +448,6 @@ def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
         "config_hash": result.config.config_hash(),
         "ledger_head": result.ledger.head.block_hash,
         "hash_algorithm": HASH_ALGORITHM,
-        "inputs": input_hashes(out, result.config),
+        "inputs": input_hashes(out),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -538,6 +538,8 @@ def import_with(tx_fields=None, **block_fields):
 
 @pytest.mark.parametrize("value", [
     "abc", "", "1.2.3", "NaN", "Infinity", "9" * 27 + ".00", None, True, [], {},
+    # a value `export_chain` writes, spelled in a form it never writes
+    "52.430", "+52.43", "52.4", " 52.43",
 ])
 def test_import_rejects_malformed_amounts(value):
     with pytest.raises(ParseError, match="^line 1: "):

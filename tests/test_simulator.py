@@ -1,6 +1,7 @@
 """Day replay: settlement completeness, determinism, metrics."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -9,12 +10,14 @@ import pytest
 
 from carbonledger.cli import main as cli_main
 from carbonledger.emissions import Mode
-from carbonledger.ledger import TxKind, export_chain, verify_chain
+from carbonledger.ledger import TxKind, export_chain, make_transaction, verify_chain
+from carbonledger.market import SETTLEMENT_EPSILON_S
 from carbonledger.population import load_profile, write_population, generate_synthetic
 from carbonledger.simulator import (
     MetricsReport,
     SimulationConfig,
     SimulationResult,
+    _settlement_description,
     child_seed,
     collect_metrics,
     run,
@@ -114,19 +117,20 @@ def test_identical_config_identical_artifacts(tmp_path):
 
 # sha256 over each pinned day's artifact set: ledger.ndjson, wallets.csv,
 # metrics.json, consensus_trace.csv and the 16 report CSVs.  The faulty days
-# have failed rounds, so tallies short of quorum reach the trace; the
-# 32-validator day adds a `delay` node and n > 7.
+# have failed rounds, so tallies short of quorum reach the trace, and failed
+# pools, whose trips the reports charge nothing; the 32-validator day adds a
+# `delay` node and n > 7.
 GOLDEN_DAYS = {
     "4 validators": (
         {}, "63025e9fff7d9cecab118a9da69ae54ded486a0c39fe2406974a17c528e2399f"),
     "7 validators, 10% drops, silent and equivocating nodes": (
         {"n_active_nodes": 7, "drop_probability": 0.1,
          "byzantine": ((5, "silent"), (6, "equivocate"))},
-        "26017720ba38e8e13f11d4ccde1c1addc2ca7e33c237d667cfa41f879e356c1a"),
+        "d0a7d6f8537aed5ff9e4cd354d8314a15fed7a9da612eef6b1f6b4b477cf4e8e"),
     "32 validators, 5% drops, silent, delay and equivocating nodes": (
         {"synthetic_users": 60, "n_active_nodes": 32, "drop_probability": 0.05,
          "byzantine": ((29, "silent"), (30, "delay"), (31, "equivocate"))},
-        "103d0bf7fa64e69da064ff6396df42f122b3930008b708276de7ca9159c92079"),
+        "89b4f9f9fb49dcee9a0590c1240bb337df1c8ba8877ec086b428775000e2cc79"),
 }
 
 
@@ -144,6 +148,45 @@ def test_pinned_seed_artifacts_match_golden_digest(name, tmp_path):
     for path in paths:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == expected
+
+
+def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):
+    overrides, _ = GOLDEN_DAYS["7 validators, 10% drops, silent and equivocating nodes"]
+    result = run(SimulationConfig(seed=7, **overrides), out_dir=tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["report", str(tmp_path)]) == 0
+    committed = [tx for block in result.ledger.chain[1:] for tx in block.txs]
+    paid = sum(tx.amount.centi for tx in committed if tx.kind is TxKind.TRIP_PAYMENT)
+    operator = sum(tx.amount.centi for tx in committed
+                   if tx.kind is TxKind.OPERATOR_SETTLEMENT)
+
+    # the reports charge exactly the committed trip payments
+    with open(tmp_path / "reports" / "trip_by_mode.csv", newline="") as fh:
+        charged = sum(TokenAmount.from_tokens(row["total_tokens"]).centi
+                      for row in csv.DictReader(fh))
+    assert charged == paid
+    # ... which, with the operator payments, are what was retired
+    retired = result.ledger.balance(result.market.retirement_address).centi
+    assert paid + operator == retired
+
+    # the costly trips left unpaid are exactly the failed pools' trips: each
+    # failed pool holds one unpaid trip's payment
+    with open(tmp_path / "failed_pools.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(int(r["last_round"]) - int(r["first_round"]) + 1 == 3  # max_round_retries
+               and r["last_outcome"] in ("no_quorum", "round_timeout") for r in rows)
+    pools = [set(r["tx_ids"].split(";")) for r in rows]
+    unpaid = [t for t in result.trips if result.trip_costs[t.trip_id][1].centi > 0
+              and result.trip_payments[t.trip_id].centi == 0]
+    assert pools and len(pools) == len(unpaid)
+    retirement = result.market.retirement_address
+    payment_ids = {make_transaction(
+        t.end_time + SETTLEMENT_EPSILON_S, result.user_addresses[t.user_id], retirement,
+        result.trip_costs[t.trip_id][1], TxKind.TRIP_PAYMENT,
+        description=_settlement_description(t)).tx_id for t in unpaid}
+    assert all(len(pool & payment_ids) == 1 for pool in pools)
+    assert payment_ids <= set().union(*pools)
+    assert not any(tx_id in result.ledger.tx_index for pool in pools for tx_id in pool)
 
 
 def test_different_seeds_diverge():
@@ -212,10 +255,11 @@ def test_metrics_example_rate():
 def test_metrics_hand_computed_latency(day):
     fake = SimulationResult(
         config=day.config, ledger=day.ledger, persons=[], trips=[],
-        trip_costs={}, grants={}, user_addresses={}, cap=TokenAmount.zero(),
+        trip_costs={}, trip_payments={}, grants={}, user_addresses={},
+        cap=TokenAmount.zero(),
         latencies_ms=[30.0, 40.0, 40.0, 38.0], submitted=4, committed=4,
         tx_per_minute=[0] * 1440, consensus_trace=[], equivocations=[],
-        rejects=[], market=day.market,
+        failed_pools=[], rejects=[], market=day.market,
     )
     report = collect_metrics(fake)
     assert report.latency_mean_ms == pytest.approx(37.0)
@@ -225,10 +269,11 @@ def test_metrics_hand_computed_latency(day):
 def test_metrics_empty_run_flags_not_applicable(day):
     fake = SimulationResult(
         config=day.config, ledger=day.ledger, persons=[], trips=[],
-        trip_costs={}, grants={}, user_addresses={}, cap=TokenAmount.zero(),
+        trip_costs={}, trip_payments={}, grants={}, user_addresses={},
+        cap=TokenAmount.zero(),
         latencies_ms=[], submitted=0, committed=0,
         tx_per_minute=[0] * 1440, consensus_trace=[], equivocations=[],
-        rejects=[], market=day.market,
+        failed_pools=[], rejects=[], market=day.market,
     )
     report = collect_metrics(fake)
     assert report.throughput is None
@@ -258,16 +303,23 @@ def test_child_seeds_are_stable_and_distinct():
 
 
 def test_artifacts_written(tmp_path):
-    run(small_config(), out_dir=tmp_path)
+    result = run(small_config(), out_dir=tmp_path)
     for name in ("ledger.ndjson", "wallets.csv", "metrics.json", "consensus_trace.csv",
-                 "equivocations.csv", "manifest.json", "run_config.json"):
+                 "equivocations.csv", "failed_pools.csv", "manifest.json",
+                 "run_config.json"):
         assert (tmp_path / name).exists()
     assert (tmp_path / "population" / "persons.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["hash_algorithm"] == "sha256"
-    for name in ("population/persons.csv", "population/trips.csv", "run_config.json"):
+    inputs = ("population/persons.csv", "population/trips.csv", "run_config.json")
+    assert sorted(manifest["inputs"]) == sorted(inputs)
+    for name in inputs:
         assert manifest["inputs"][name] == hashlib.sha256(
             (tmp_path / name).read_bytes()).hexdigest()
+    # written even when every pool committed, and kept out of the manifest
+    assert result.failed_pools == []
+    assert (tmp_path / "failed_pools.csv").read_text() == (
+        "first_round,last_round,last_outcome,tx_ids\n")
 
 
 def test_equivocation_evidence_exported(tmp_path):
