@@ -12,29 +12,34 @@ Timing model (all simulated; link delays configured in milliseconds):
 * proposals go out at round start; validators vote at the proposal
   deadline, which equals the configured maximum link delay, so with zero
   drops every proposal is on time;
-* a vote is counted where it arrives; a node commits when some hash
-  reaches quorum among first-votes-per-voter;
-* the round's commit instant is taken at the winning block's creator,
-  whose own vote is free, so with honest nodes and zero drops the expected
-  commit latency is
+* a vote is counted where it arrives: a node commits hash H exactly when
+  H's count there, of each voter's first on-time vote, reaches quorum;
+  since 2 · quorum > n at most one hash per node can;
+* the round's commit instant and its voters are the moment and the
+  voters with which H reached quorum at one anchor node, as `tally_votes`
+  counts them: the winning block's creator when it committed, otherwise
+  the earliest honest node that did.  The creator's own vote is free, so
+  with honest nodes and zero drops the expected commit latency is
   ``max_delay + lo + (hi − lo) · (quorum − 1) / n``
   (the (quorum−1)-th order statistic of n−1 uniform link delays);
 * the round times out ``2 × p99 link delay`` after the vote phase starts.
 
-Draw order: each round calls `simulate_network` twice, for the proposals
-and then the votes, and both calls draw from the one round rng.  The
-proposer's sends go out in validator order.  The votes go out voter by
-voter in validator order; an equivocator's chosen hash goes before its
-fabricated one, and each vote goes to every validator in validator order.
-A send to another node takes one ``rng.random()`` drop draw, only when the
-drop probability is above zero, and, if it is not dropped, one delay draw
-``lo + (hi − lo) · rng.random()`` (what ``random.uniform`` computes).  A
-send to oneself takes no draw and arrives at once.
+Draw order: each round calls `simulate_network` twice, for the proposal
+and then the votes, and both calls draw from the one round rng.  A
+broadcast goes to every validator in validator order.  The proposal is one
+broadcast, or none from a silent proposer.  The votes are one broadcast per
+vote, voter by voter in validator order; an equivocator's chosen hash goes
+before its fabricated one.  A send to another node takes one
+``rng.random()`` drop draw, only when the drop probability is above zero,
+and, if it is not dropped, one delay draw ``lo + (hi − lo) · rng.random()``
+(what ``random.uniform`` computes).  A send to oneself takes no draw and
+arrives at once.
 
 Faulty behaviors: ``silent`` nodes send nothing; ``equivocate`` nodes
 propose conflicting variants to different peers and cast conflicting
-votes; ``delay`` nodes send everything five times slower.  The first vote
-per voter is counted, later conflicting ones are kept as evidence.
+votes; ``delay`` nodes send everything five times slower.  At each node a
+voter's first on-time vote there, its smallest ``(arrival, hash)``, is
+counted; its other votes are kept as evidence.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import add
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .ledger import (
@@ -131,29 +137,36 @@ class NetworkModel:
 
 
 def simulate_network(
-    sends: Sequence[tuple[str, str, float]], network: NetworkModel, rng: random.Random
-) -> list[Optional[float]]:
-    """Each ``(src, dst, send_time)`` send's arrival time, or None if dropped.
+    broadcasts: Sequence[tuple[str, float]],
+    dsts: Sequence[str],
+    network: NetworkModel,
+    rng: random.Random,
+) -> list[list[Optional[float]]]:
+    """Deliver each ``(src, send_time)`` broadcast to every one of `dsts`.
 
-    Deterministic given the rng state: sends are processed in the given
-    order and consume draws as the module docstring states.
+    Returns one row per broadcast, holding each destination's arrival time
+    or None if that send was dropped.  Deterministic given the rng state:
+    broadcasts go out in the given order, each to `dsts` in order, and
+    consume draws as the module docstring states.
     """
     lo, span = network.delay_ms_low, network.delay_ms_high - network.delay_ms_low
     drop = network.drop_probability
     slow = {a for a, b in network.byzantine.items() if b is Behavior.DELAY}
     draw = rng.random
-    out: list[Optional[float]] = []
-    for src, dst, send_time in sends:
-        if src == dst:
-            out.append(send_time)
-        elif drop > 0 and draw() < drop:
-            out.append(None)
+    rows: list[list[Optional[float]]] = []
+    for src, send_time in broadcasts:
+        # x * 1.0 == x exactly, so an unslowed delay is `lo + span * u` as drawn
+        factor = DELAY_FACTOR if src in slow else 1.0
+        if drop > 0:
+            rows.append([send_time if dst == src
+                         else None if draw() < drop
+                         else send_time + (lo + span * draw()) * factor / 1000.0
+                         for dst in dsts])
         else:
-            delay_ms = lo + span * draw()
-            if src in slow:
-                delay_ms *= DELAY_FACTOR
-            out.append(send_time + delay_ms / 1000.0)
-    return out
+            rows.append([send_time if dst == src
+                         else send_time + (lo + span * draw()) * factor / 1000.0
+                         for dst in dsts])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -198,6 +211,41 @@ def tally_votes(arrivals: Sequence[tuple[float, str, str]], quorum: int) -> Tall
             if best >= quorum and commit[1] is None:
                 commit = (t, block_hash, tuple(voters))
     return Tally(*commit, best)
+
+
+def count_first_votes(
+    ballots: Sequence[tuple[str, tuple[str, ...]]],
+    rows: Sequence[Sequence[Optional[float]]],
+    deadline: float,
+) -> tuple[dict[str, list[int]], bool]:
+    """Per hash, how many voters' first on-time vote at each node it is.
+
+    `ballots` holds each voter's cast hashes in send order and `rows` each
+    cast vote's arrivals, one row per vote, ballot by ballot, one entry per
+    node.  A vote is on time when it arrived by `deadline`.  A voter's first
+    vote at a node is its smallest on-time ``(arrival, hash)`` there, the
+    one `tally_votes` counts.  Also returns whether any vote was dropped or
+    late.
+    """
+    votes = iter(rows)
+    zeros = [0] * len(rows[0]) if rows else []
+    counts: dict[str, list[int]] = {}
+    late_or_dropped = False
+    for _, hashes in ballots:
+        if len(hashes) == 1:
+            on_time = [t is not None and t <= deadline for t in next(votes)]
+            late_or_dropped = late_or_dropped or not all(on_time)
+            counts[hashes[0]] = list(map(add, counts.get(hashes[0], zeros), on_time))
+            continue
+        own = [next(votes) for _ in hashes]
+        late_or_dropped = late_or_dropped or not all(
+            t is not None and t <= deadline for row in own for t in row)
+        firsts = [min([(t, h) for t, h in zip(col, hashes)
+                       if t is not None and t <= deadline], default=(None, None))[1]
+                  for col in zip(*own)]
+        for h in dict.fromkeys(hashes):
+            counts[h] = list(map(add, counts.get(h, zeros), [f == h for f in firsts]))
+    return counts, late_or_dropped
 
 
 @dataclass
@@ -261,7 +309,7 @@ def run_round(
 
     # --- proposal phase: an equivocating proposer sends every other
     # validator a conflicting variant ---
-    prop_sends: list[tuple[str, str, float]] = []
+    broadcasts: list[tuple[str, float]] = []
     payloads: list[Block] = []
     proposals: dict[str, Block] = {}
     beh = byzantine.get(proposer)
@@ -272,79 +320,84 @@ def run_round(
         proposals = {b.block_hash: b for b in (block, variant) if b is not None}
         payloads = [variant if (variant is not None and i % 2 == 1) else block
                     for i in range(n)]
-        prop_sends = [(proposer, dst, start_time) for dst in validators]
-    prop_arrivals = simulate_network(prop_sends, network, rng)
-    n_dropped = prop_arrivals.count(None)
+        broadcasts = [(proposer, start_time)]
+    prop_rows = simulate_network(broadcasts, validators, network, rng)
 
     # each validator receives at most one proposal; each distinct proposal is
     # checked once however many validators receive it
     candidate: dict[str, Block] = {}
     verdicts: dict[str, bool] = {}
-    for dst, block, t in zip(validators, payloads, prop_arrivals):
-        if t is None or t > prop_deadline:
-            continue
-        valid = verdicts.get(block.block_hash)
-        if valid is None:
-            valid = verdicts[block.block_hash] = _proposal_valid(block, ledger)
-        if valid:
-            candidate[dst] = block
+    for row in prop_rows:
+        for dst, block, t in zip(validators, payloads, row):
+            if t is None or t > prop_deadline:
+                continue
+            valid = verdicts.get(block.block_hash)
+            if valid is None:
+                valid = verdicts[block.block_hash] = _proposal_valid(block, ledger)
+            if valid:
+                candidate[dst] = block
 
-    # --- vote phase: each cast (voter, hash) goes to every validator ---
-    cast: list[tuple[str, str]] = []
-    n_voters = 0
+    # --- vote phase: each cast (voter, hash) is broadcast to every validator ---
+    ballots: list[tuple[str, tuple[str, ...]]] = []
     equivocations: list[tuple[str, int, tuple[str, ...]]] = []
     for v in validators:
         beh = byzantine.get(v)
         if beh is Behavior.SILENT or v not in candidate:
             continue
         choice = candidate[v].block_hash
-        cast.append((v, choice))
         if beh is Behavior.EQUIVOCATE:
             fake = digest("equivocation", v, str(round_no))
-            cast.append((v, fake))
+            ballots.append((v, (choice, fake)))
             equivocations.append((v, round_no, (choice, fake)))
-        n_voters += 1
-    vote_arrivals = simulate_network(
-        [(v, dst, prop_deadline) for v, _ in cast for dst in validators], network, rng)
+        else:
+            ballots.append((v, (choice,)))
+    votes = [(v, h) for v, hashes in ballots for h in hashes]
+    vote_rows = simulate_network(
+        [(v, prop_deadline) for v, _ in votes], validators, network, rng)
+    n_dropped = sum(row.count(None) for rows in (prop_rows, vote_rows) for row in rows)
 
-    # --- per-node tallies over the on-time arrivals: the sends are voter
-    # by voter, so node j's arrivals are every n-th entry from j ---
-    inboxes = [[(t, voter, block_hash)
-                for (voter, block_hash), t in zip(cast, vote_arrivals[j::n])
-                if t is not None and t <= round_deadline] for j in range(n)]
-    n_dropped += vote_arrivals.count(None)
-    late_or_dropped = sum(map(len, inboxes)) < len(vote_arrivals)
-    honest_commits: dict[str, Tally] = {}
+    # --- a node commits the hash whose count there reaches quorum ---
+    quorum = config.quorum
+    counts, late_or_dropped = count_first_votes(ballots, vote_rows, round_deadline)
+    committers: dict[str, list[int]] = {}  # hash -> the honest nodes that commit it
     max_count = 0
-    for node, inbox in zip(validators, inboxes):
-        tally = tally_votes(inbox, config.quorum)
-        max_count = max(max_count, tally.best)
-        if tally.block_hash is not None and node not in byzantine:
-            honest_commits[node] = tally
+    for block_hash, per_node in counts.items():
+        top = max(per_node)
+        max_count = max(max_count, top)
+        if top >= quorum:
+            nodes = [j for j, c in enumerate(per_node)
+                     if c >= quorum and validators[j] not in byzantine]
+            if nodes:
+                committers[block_hash] = nodes
 
     # Safety, whatever `unsafe_faults` says: an equivocating proposer's two
     # variants go to disjoint voter sets and 2·ceil(2n/3) > n, so at most one
     # of them reaches quorum; each fabricated vote hash has one voter, so it
     # reaches quorum only when n = 1, and then its one node is not honest.
     # Every honest commit is therefore one hash, and that hash was proposed.
-    fork_hashes = tuple(sorted({c.block_hash for c in honest_commits.values()}))
+    fork_hashes = tuple(sorted(committers))
     if len(fork_hashes) > 1:
         raise SafetyViolation(f"round {round_no}: distinct commits {fork_hashes}")
 
     final, new_ledger, commit_time = None, ledger, None
-    if not honest_commits:
+    if not committers:
         # round_timeout: a quorum was cast but votes were lost or late;
         # no_quorum: the cast votes could never have formed one, or split
-        outcome = ("round_timeout" if n_voters >= config.quorum and late_or_dropped
+        outcome = ("round_timeout" if len(ballots) >= quorum and late_or_dropped
                    else "no_quorum")
         decision = Decision(round_no, outcome, None, max_count)
     else:
         block = proposals[fork_hashes[0]]
         # the commit instant is taken at the winning block's creator when it
         # committed itself, otherwise at the earliest honest observer
-        anchor = honest_commits.get(block.creator) or min(
-            honest_commits.items(),
-            key=lambda kv: (kv[1].commit_time, kv[0], kv[1].voters))[1]
+        nodes = committers[block.block_hash]
+        creator = validators.index(block.creator)
+        tallies = {validators[j]: tally_votes(
+            [(t, voter, h) for (voter, h), row in zip(votes, vote_rows)
+             if (t := row[j]) is not None and t <= round_deadline], quorum)
+            for j in ([creator] if creator in nodes else nodes)}
+        anchor = min(tallies.items(),
+                     key=lambda kv: (kv[1].commit_time, kv[0], kv[1].voters))[1]
         final = with_signatures(block, (
             (addr, block_attestation(addr, block.block_hash)) for addr in anchor.voters))
         new_ledger = ledger.apply_block(final)
@@ -352,7 +405,7 @@ def run_round(
         decision = Decision(round_no, "committed", block.block_hash, len(anchor.voters))
     return RoundResult(
         decision, final, new_ledger, commit_time, proposer, fork_hashes, equivocations,
-        len(prop_sends) + len(vote_arrivals), n_dropped,
+        n * (len(prop_rows) + len(vote_rows)), n_dropped,
     )
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -93,16 +93,16 @@ class Role(Enum):
 
 @dataclass(frozen=True)
 class NodeIdentity:
-    """A participant; the address derives from the node id and the role is
-    fixed at registration."""
+    """A participant; the address derives from the node id, once, and the
+    role is fixed at registration."""
 
     node_id: str
     role: Role
     metadata: Mapping[str, str] = field(default_factory=dict)
+    address: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def address(self) -> str:
-        return derive_address(self.node_id)
+    def __post_init__(self):
+        object.__setattr__(self, "address", derive_address(self.node_id))
 
 
 class TxKind(Enum):
@@ -126,8 +126,8 @@ class TokenTransaction:
 
     def payload_fields(self) -> tuple[str, ...]:
         """Every field except tx_id and signature, rendered as hashed."""
-        return (repr(self.timestamp), self.sender, self.receiver, str(self.amount),
-                self.kind.value, self.description)
+        return _render_payload(self.timestamp, self.sender, self.receiver, self.amount,
+                               self.kind, self.description)
 
     def payload_digest(self) -> str:
         """Digest of every field except tx_id and signature."""
@@ -136,6 +136,11 @@ class TokenTransaction:
     def canonical(self) -> str:
         """Full record line, the unit hashed into blocks."""
         return _canonical_line(self, self.payload_fields())
+
+
+def _render_payload(timestamp: float, sender: str, receiver: str, amount: TokenAmount,
+                    kind: TxKind, description: str) -> tuple[str, ...]:
+    return (repr(timestamp), sender, receiver, str(amount), kind.value, description)
 
 
 # `verify_chain` renders each tx once and derives both forms below from it
@@ -156,17 +161,10 @@ def make_transaction(
     description: str = "",
 ) -> TokenTransaction:
     """Build a signed transaction; tx_id is the payload digest."""
-    tx = TokenTransaction(
-        tx_id="",
-        timestamp=timestamp,
-        sender=sender,
-        receiver=receiver,
-        amount=amount,
-        kind=kind,
-        description=description,
-    )
-    tx_id = tx.payload_digest()
-    return replace(tx, tx_id=tx_id, signature=sign_payload(sender, tx_id))
+    tx_id = _payload_digest(
+        _render_payload(timestamp, sender, receiver, amount, kind, description))
+    return TokenTransaction(tx_id, timestamp, sender, receiver, amount, kind, description,
+                            sign_payload(sender, tx_id))
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,8 @@ def _block_digest(height: int, prev_hash: str, creator: str, lines: Sequence[str
 
 
 def with_signatures(block: Block, signatures: Iterable[tuple[str, str]]) -> Block:
-    return replace(block, signatures=tuple(sorted(signatures)))
+    return Block(block.height, block.prev_hash, block.txs, block.creator, block.block_hash,
+                 tuple(sorted(signatures)))
 
 
 # --- validation -------------------------------------------------------------
@@ -697,6 +696,10 @@ def _tx_from_obj(obj: dict) -> TokenTransaction:
     return tx
 
 
+# what `json.dumps(obj, separators=(",", ":"))` builds on every call
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def block_to_line(block: Block) -> str:
     obj = {
         "height": block.height,
@@ -706,7 +709,7 @@ def block_to_line(block: Block) -> str:
         "signatures": [list(sig) for sig in block.signatures],
         "txs": [_tx_to_obj(tx) for tx in block.txs],
     }
-    return json.dumps(obj, separators=(",", ":"))
+    return _COMPACT_JSON.encode(obj)
 
 
 def export_chain(ledger: Ledger) -> str:

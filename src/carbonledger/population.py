@@ -145,7 +145,10 @@ def _field(rec: dict[str, str], column: str, parse):
 def load_population(
     persons_path: str | Path, trips_path: str | Path
 ) -> tuple[list[SurveyPerson], list[TripRecord], list[RejectedRow]]:
-    """Load and cross-check both files; trips come back sorted by start time."""
+    """Load and cross-check both files; trips come back sorted by start time.
+
+    A trips row whose `trip_id` an earlier kept row already holds is
+    rejected, so each trip id names one trip."""
     rejects: list[RejectedRow] = []
     persons: list[SurveyPerson] = []
 
@@ -182,6 +185,7 @@ def load_population(
 
     known_users = {p.user_id for p in persons}
     trips: list[TripRecord] = []
+    trip_rows: dict[str, int] = {}  # trip_id -> row of the trip kept under it
     with open(trips_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -193,6 +197,11 @@ def load_population(
             rec = dict(zip(TRIPS_HEADER, row))
             if rec["user_id"] not in known_users:
                 raise DanglingUserRef(rowno, rec["user_id"])
+            if rec["trip_id"] in trip_rows:
+                rejects.append(RejectedRow(
+                    "trips", rowno, "trip_id", f"duplicate trip_id {rec['trip_id']!r}, "
+                    f"first on row {trip_rows[rec['trip_id']]}"))
+                continue
             try:
                 trips.append(TripRecord(
                     trip_id=rec["trip_id"],
@@ -206,6 +215,8 @@ def load_population(
                 ))
             except FieldError as exc:
                 rejects.append(RejectedRow("trips", rowno, exc.field, str(exc)))
+                continue
+            trip_rows[rec["trip_id"]] = rowno
 
     trips.sort(key=lambda t: (t.start_time, t.trip_id))
     return persons, trips, rejects

@@ -45,6 +45,7 @@ from .ledger import (
     Role,
     TokenTransaction,
     TxKind,
+    _tx_to_obj,
     create_genesis,
     export_chain,
     export_wallets,
@@ -71,6 +72,9 @@ from .population import (
 from .tokens import TokenAmount, total
 
 MINUTES_PER_DAY = 1440
+
+# (first round, last round, last outcome, txs) of a pool no round committed
+FailedPool = tuple[int, int, str, tuple[TokenTransaction, ...]]
 
 
 def child_seed(seed: int, label: str) -> int:
@@ -163,8 +167,7 @@ class SimulationResult:
     tx_per_minute: list[int]
     consensus_trace: list[TraceRow]
     equivocations: list[tuple[str, int, tuple[str, ...]]]  # (voter, round, hashes)
-    # (first round, last round, last outcome, tx ids) of each pool no round committed
-    failed_pools: list[tuple[int, int, str, tuple[str, ...]]]
+    failed_pools: list[FailedPool]
     rejects: list[RejectedRow]
     market: Market
 
@@ -316,7 +319,7 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     )
 
     latencies: list[float] = []
-    failed_pools: list[tuple[int, int, str, tuple[str, ...]]] = []
+    failed_pools: list[FailedPool] = []
     tx_per_minute = [0] * MINUTES_PER_DAY
     submitted = 0
     committed = 0
@@ -337,7 +340,7 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
         if result is None:
             rounds = engine.trace[first:]
             failed_pools.append((rounds[0].round, rounds[-1].round, rounds[-1].outcome,
-                                 tuple(tx.tx_id for tx in pool)))
+                                 tuple(pool)))
             return
         committed += len(pool)
         market.record_committed(pool)
@@ -413,18 +416,26 @@ def input_hashes(run_dir: Path) -> dict[str, str]:
             for name in REPORT_INPUTS}
 
 
-def export_failed_pools(pools: Sequence[tuple[int, int, str, tuple[str, ...]]]) -> str:
+def export_failed_pools(pools: Sequence[FailedPool]) -> str:
     """CSV `first_round,last_round,last_outcome,tx_ids` of the pools no round
     committed, each pool's tx ids joined by `;`."""
     lines = ["first_round,last_round,last_outcome,tx_ids"]
-    lines += [f"{first},{last},{outcome},{';'.join(tx_ids)}"
-              for first, last, outcome, tx_ids in pools]
+    lines += [f"{first},{last},{outcome},{';'.join(tx.tx_id for tx in txs)}"
+              for first, last, outcome, txs in pools]
     return "\n".join(lines) + "\n"
+
+
+def export_failed_txs(pools: Sequence[FailedPool]) -> str:
+    """NDJSON of the failed pools' transactions, pool by pool, one per line in
+    the ledger export's transaction form."""
+    return "".join(json.dumps(_tx_to_obj(tx), separators=(",", ":")) + "\n"
+                   for *_, txs in pools for tx in txs)
 
 
 def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
     """Ledger export, wallet snapshot, metrics, trace, equivocation evidence,
-    failed pools, population and a manifest that hashes the report inputs."""
+    failed pools and their transactions, population and a manifest that
+    hashes the report inputs."""
     out = Path(out_dir)
     (out / "population").mkdir(parents=True, exist_ok=True)
     (out / "ledger.ndjson").write_text(export_chain(result.ledger))
@@ -433,6 +444,7 @@ def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
     (out / "consensus_trace.csv").write_text(export_trace(result.consensus_trace))
     (out / "equivocations.csv").write_text(export_equivocations(result.equivocations))
     (out / "failed_pools.csv").write_text(export_failed_pools(result.failed_pools))
+    (out / "failed_txs.ndjson").write_text(export_failed_txs(result.failed_pools))
     write_population(result.persons, result.trips,
                      out / "population" / "persons.csv",
                      out / "population" / "trips.csv")

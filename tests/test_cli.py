@@ -101,8 +101,11 @@ def test_operator_pays_remainder_completes_a_day(tmp_path, capsys):
     assert '"kind":"operator_settlement"' in chain
 
 
-def one_user_population(tmp_path, capsys, trip_rows):
-    run_cli(capsys, "synth", "--seed", "3", "--n-users", "1", "--out", str(tmp_path / "pop"))
+def one_user_population(tmp_path, capsys, trip_rows, n_users=1):
+    """A synthetic population whose only trips are `trip_rows`, all of its
+    first user."""
+    run_cli(capsys, "synth", "--seed", "3", "--n-users", str(n_users),
+            "--out", str(tmp_path / "pop"))
     persons = tmp_path / "pop" / "persons.csv"
     user_id = persons.read_text().splitlines()[1].split(",")[0]
     trips = tmp_path / "pop" / "trips.csv"
@@ -121,6 +124,21 @@ def test_simulate_emission_error_exits_2_with_json(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "-c", str(cfg))
     assert code == 2
     assert json.loads(err.strip())["error"] == "MissingFactor"
+
+
+def test_duplicate_trip_id_is_rejected_and_the_day_completes(tmp_path, capsys):
+    # the day's cap counts one t-dup trip, so settling both rows would drain
+    # the market pool
+    persons, trips = one_user_population(tmp_path, capsys, [
+        "t-dup,{user},car,3600.000,4200.000,4000.0,1,",
+        "t-dup,{user},car,7200.000,8400.000,8000.0,1,"], n_users=2)
+    cfg = base_config(tmp_path, persons_file=str(persons), trips_file=str(trips))
+    code, out, _ = run_cli(capsys, "simulate", "-c", str(cfg))
+    assert code == 0
+    assert "users=2 trips=1 " in out
+    rejects = (tmp_path / "out" / "rejects.csv").read_text().splitlines()
+    assert rejects == ["file,row,column,reason",
+                       "trips,3,trip_id,\"duplicate trip_id 't-dup', first on row 2\""]
 
 
 def test_verify_clean_chain(tmp_path, capsys):

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carbonledger.consensus import (
     Behavior,
@@ -12,6 +13,7 @@ from carbonledger.consensus import (
     ConsensusEngine,
     NetworkModel,
     UnsafeFaultConfig,
+    count_first_votes,
     run_round,
     simulate_network,
     tally_votes,
@@ -127,39 +129,92 @@ def test_quorum_arithmetic_intersection():
 # --- simulate_network ---
 
 
+def arrivals_of(rows):
+    """Every send's arrival, broadcast by broadcast."""
+    return [t for row in rows for t in row]
+
+
 def test_identical_seed_identical_schedule():
-    sends = [(VALIDATORS[0].address, VALIDATORS[1].address, float(i))
-             for i in range(50)]
+    broadcasts = [(VALIDATORS[0].address, float(i)) for i in range(50)]
+    dsts = [VALIDATORS[1].address]
     net = NetworkModel(10, 20, drop_probability=0.2)
-    a = simulate_network(sends, net, random.Random(99))
-    b = simulate_network(sends, net, random.Random(99))
+    a = simulate_network(broadcasts, dsts, net, random.Random(99))
+    b = simulate_network(broadcasts, dsts, net, random.Random(99))
     assert a == b
 
 
 def test_zero_drop_delivers_everything():
-    sends = [(VALIDATORS[0].address, VALIDATORS[1].address, 0.0)
-             for i in range(100)]
+    broadcasts = [(VALIDATORS[0].address, 0.0) for i in range(100)]
     net = NetworkModel(10, 20, drop_probability=0.0)
-    arrivals = simulate_network(sends, net, random.Random(1))
+    arrivals = arrivals_of(
+        simulate_network(broadcasts, [VALIDATORS[1].address], net, random.Random(1)))
     assert all(t is not None for t in arrivals)
     assert all(0.010 <= t <= 0.020 for t in arrivals)
 
 
 def test_drop_rate_law_of_large_numbers():
-    sends = [(VALIDATORS[0].address, VALIDATORS[1].address, 0.0)
-             for i in range(10_000)]
+    broadcasts = [(VALIDATORS[0].address, 0.0) for i in range(10_000)]
     net = NetworkModel(10, 20, drop_probability=0.3)
-    arrivals = simulate_network(sends, net, random.Random(7))
+    arrivals = arrivals_of(
+        simulate_network(broadcasts, [VALIDATORS[1].address], net, random.Random(7)))
     dropped = sum(1 for t in arrivals if t is None)
     assert abs(dropped / 10_000 - 0.3) < 0.02
 
 
 def test_self_messages_never_dropped():
-    sends = [(VALIDATORS[0].address, VALIDATORS[0].address, 1.0)
-             for i in range(100)]
+    broadcasts = [(VALIDATORS[0].address, 1.0) for i in range(100)]
     net = NetworkModel(10, 20, drop_probability=0.9)
-    arrivals = simulate_network(sends, net, random.Random(3))
+    arrivals = arrivals_of(
+        simulate_network(broadcasts, [VALIDATORS[0].address], net, random.Random(3)))
     assert all(t == 1.0 for t in arrivals)
+
+
+# --- count_first_votes against tally_votes ---
+
+DEADLINE = 1.0
+
+
+@st.composite
+def vote_worlds(draw):
+    """Ballots and per-node arrivals: silent voters, equivocators (whose own
+    node gets both their votes at one instant), dropped and late votes, and
+    arrival times from a small set so that ties are common."""
+    n = draw(st.integers(1, 32))
+    kinds = draw(st.lists(st.sampled_from(["honest", "silent", "equivocate"]),
+                          min_size=n, max_size=n))
+    p_drop, p_late = draw(st.sampled_from([0.0, 0.1, 0.4])), draw(st.sampled_from([0.0, 0.2]))
+    lean = draw(st.sampled_from([0.5, 0.9, 1.0]))  # share of voters choosing "aa…"
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ballots = [(f"v{v:02d}", (choice, f"fake-{v:02d}") if kind == "equivocate" else (choice,))
+               for v, kind in enumerate(kinds) if kind != "silent"
+               for choice in ["aa" * 32 if rng.random() < lean else "bb" * 32]]
+    rows = []
+    for voter, ballot in ballots:
+        own = int(voter[1:])
+        for _ in ballot:
+            rows.append([0.0 if j == own
+                         else None if rng.random() < p_drop
+                         else DEADLINE + 0.5 if rng.random() < p_late
+                         else rng.choice([0.25, 0.5, 0.75, DEADLINE]) for j in range(n)])
+    return n, ballots, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(vote_worlds())
+def test_counts_decide_what_tally_votes_commits(world):
+    n, ballots, rows = world
+    q = quorum_size(n)
+    counts, late_or_dropped = count_first_votes(ballots, rows, DEADLINE)
+    votes = [(voter, h) for voter, ballot in ballots for h in ballot]
+    assert late_or_dropped == any(t is None or t > DEADLINE for row in rows for t in row)
+    for j in range(n):
+        inbox = [(row[j], voter, h) for (voter, h), row in zip(votes, rows)
+                 if row[j] is not None and row[j] <= DEADLINE]
+        result = tally_votes(inbox, q)
+        at_quorum = [h for h, per_node in counts.items() if per_node[j] >= q]
+        assert len(at_quorum) <= 1
+        assert (at_quorum[0] if at_quorum else None) == result.block_hash
+        assert max((per_node[j] for per_node in counts.values()), default=0) == result.best
 
 
 # --- run_round ---

@@ -91,6 +91,16 @@ def test_bad_enum_values_keep_their_reject_reasons(tmp_path):
     ]
 
 
+def test_duplicate_trip_id_keeps_the_first_row(tmp_path):
+    trips = TRIPS_CSV + "t1,u2,bus,40000,41000,3000,1,\nt1,u1,car,50000,51000,4000,1,\n"
+    _, loaded, rejects = load_population(*write(tmp_path, trips=trips))
+    assert [(t.trip_id, t.user_id, t.mode) for t in loaded] == [
+        ("t1", "u1", Mode.CAR), ("t2", "u2", Mode.SCHOOL_BUS)]
+    assert rejects == [
+        RejectedRow("trips", row, "trip_id", "duplicate trip_id 't1', first on row 3")
+        for row in (4, 5)]
+
+
 def test_empty_trips_file_is_a_valid_zero_trip_day(tmp_path):
     p, t = write(tmp_path, trips=",".join(TRIPS_HEADER) + "\n")
     persons, trips, rejects = load_population(p, t)

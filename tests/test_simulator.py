@@ -10,8 +10,8 @@ import pytest
 
 from carbonledger.cli import main as cli_main
 from carbonledger.emissions import Mode
-from carbonledger.ledger import TxKind, export_chain, make_transaction, verify_chain
-from carbonledger.market import SETTLEMENT_EPSILON_S
+from carbonledger.ledger import (TxKind, _tx_from_obj, export_chain, validate_stateless,
+                                 verify_chain)
 from carbonledger.population import load_profile, write_population, generate_synthetic
 from carbonledger.simulator import (
     MetricsReport,
@@ -170,23 +170,29 @@ def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):
     assert paid + operator == retired
 
     # the costly trips left unpaid are exactly the failed pools' trips: each
-    # failed pool holds one unpaid trip's payment
+    # failed pool holds one unpaid trip's payment, and failed_txs.ndjson holds
+    # every failed pool's transactions, pool by pool
     with open(tmp_path / "failed_pools.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert all(int(r["last_round"]) - int(r["first_round"]) + 1 == 3  # max_round_retries
                and r["last_outcome"] in ("no_quorum", "round_timeout") for r in rows)
-    pools = [set(r["tx_ids"].split(";")) for r in rows]
+    pools = [r["tx_ids"].split(";") for r in rows]
+    failed = [_tx_from_obj(json.loads(line))
+              for line in (tmp_path / "failed_txs.ndjson").read_text().splitlines()]
+    assert [tx.tx_id for tx in failed] == [tx_id for pool in pools for tx_id in pool]
+    assert all(validate_stateless(tx).ok and tx.tx_id not in result.ledger.tx_index
+               for tx in failed)
+    payments = {tx.description: tx for tx in failed if tx.kind is TxKind.TRIP_PAYMENT}
     unpaid = [t for t in result.trips if result.trip_costs[t.trip_id][1].centi > 0
               and result.trip_payments[t.trip_id].centi == 0]
-    assert pools and len(pools) == len(unpaid)
+    assert pools and len(pools) == len(unpaid) == len(payments)
     retirement = result.market.retirement_address
-    payment_ids = {make_transaction(
-        t.end_time + SETTLEMENT_EPSILON_S, result.user_addresses[t.user_id], retirement,
-        result.trip_costs[t.trip_id][1], TxKind.TRIP_PAYMENT,
-        description=_settlement_description(t)).tx_id for t in unpaid}
-    assert all(len(pool & payment_ids) == 1 for pool in pools)
-    assert payment_ids <= set().union(*pools)
-    assert not any(tx_id in result.ledger.tx_index for pool in pools for tx_id in pool)
+    for t in unpaid:
+        tx = payments[_settlement_description(t)]
+        assert (tx.sender, tx.receiver, tx.amount) == (
+            result.user_addresses[t.user_id], retirement, result.trip_costs[t.trip_id][1])
+    payment_ids = {tx.tx_id for tx in payments.values()}
+    assert all(len(payment_ids.intersection(pool)) == 1 for pool in pools)
 
 
 def test_different_seeds_diverge():
@@ -305,8 +311,8 @@ def test_child_seeds_are_stable_and_distinct():
 def test_artifacts_written(tmp_path):
     result = run(small_config(), out_dir=tmp_path)
     for name in ("ledger.ndjson", "wallets.csv", "metrics.json", "consensus_trace.csv",
-                 "equivocations.csv", "failed_pools.csv", "manifest.json",
-                 "run_config.json"):
+                 "equivocations.csv", "failed_pools.csv", "failed_txs.ndjson",
+                 "manifest.json", "run_config.json"):
         assert (tmp_path / name).exists()
     assert (tmp_path / "population" / "persons.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -320,6 +326,7 @@ def test_artifacts_written(tmp_path):
     assert result.failed_pools == []
     assert (tmp_path / "failed_pools.csv").read_text() == (
         "first_round,last_round,last_outcome,tx_ids\n")
+    assert (tmp_path / "failed_txs.ndjson").read_text() == ""
 
 
 def test_equivocation_evidence_exported(tmp_path):
