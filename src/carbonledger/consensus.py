@@ -40,6 +40,12 @@ propose conflicting variants to different peers and cast conflicting
 votes; ``delay`` nodes send everything five times slower.  At each node a
 voter's first on-time vote there, its smallest ``(arrival, hash)``, is
 counted; its other votes are kept as evidence.
+
+A ``delay`` node's sends take at least ``5 · lo``, so its proposals are
+always late when ``5 · lo > hi`` (the proposal deadline) and its votes
+always miss the vote window when ``5 · lo > 2 · p99``.  Both hold under the
+default 10–20 ms links (50 ms against 20 ms and 39.8 ms): there such a node
+is in effect ``silent``.  With ``lo = 0`` its sends sometimes land on time.
 """
 
 from __future__ import annotations

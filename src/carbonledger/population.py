@@ -8,10 +8,11 @@ CSV schemas:
 
 Structural problems (wrong header, short rows) raise SchemaError and a trip
 pointing at an unknown user raises DanglingUserRef; rows with bad field
-values are collected into a rejects report instead of being silently
-dropped.  The synthetic generator is fully profile-driven and deterministic
-per seed; the bundled profile is a labeled synthetic stand-in whose age and
-mode marginals follow plausible suburban commuting patterns.
+values or a repeated id are collected into a rejects report instead of
+being silently dropped.  The synthetic generator is fully profile-driven
+and deterministic per seed; the bundled profile is a labeled synthetic
+stand-in whose age and mode marginals follow plausible suburban commuting
+patterns.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ import csv
 import json
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from itertools import accumulate
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -126,20 +130,17 @@ _student_status = _member_parser(StudentStatus)
 _mode = _member_parser(Mode)
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    value = _BOOLS.get(text.lower())
+    if value is None:
+        raise ValueError(f"not a boolean: {text!r}")
+    return value
 
 
-def _field(rec: dict[str, str], column: str, parse):
-    """`parse` applied to one column; a bad value raises FieldError naming it."""
-    try:
-        return parse(rec[column])
-    except ValueError as exc:
-        raise FieldError(column, str(exc)) from exc
+_trip_order = attrgetter("start_time", "trip_id")
 
 
 def load_population(
@@ -147,10 +148,13 @@ def load_population(
 ) -> tuple[list[SurveyPerson], list[TripRecord], list[RejectedRow]]:
     """Load and cross-check both files; trips come back sorted by start time.
 
-    A trips row whose `trip_id` an earlier kept row already holds is
-    rejected, so each trip id names one trip."""
+    A row whose `user_id` (persons) or `trip_id` (trips) an earlier kept row
+    already holds is rejected, so each id names one person or one trip.  A
+    bad value is rejected under the first column, in file order, that fails
+    to parse, or under the column a `TripRecord` check names."""
     rejects: list[RejectedRow] = []
     persons: list[SurveyPerson] = []
+    user_rows: dict[str, int] = {}  # user_id -> row of the person kept under it
 
     with open(persons_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -160,30 +164,41 @@ def load_population(
         for rowno, row in enumerate(reader, start=2):
             if len(row) != len(PERSONS_HEADER):
                 raise SchemaError(rowno, "row", f"expected {len(PERSONS_HEADER)} fields")
-            rec = dict(zip(PERSONS_HEADER, row))
-            try:
-                persons.append(SurveyPerson(
-                    user_id=rec["user_id"],
-                    age_band=_field(rec, "age_band", _age_band),
-                    gender=_field(rec, "gender", _gender),
-                    employment=_field(rec, "employment", _employment),
-                    occupation=_field(rec, "occupation", _occupation),
-                    student_status=_field(rec, "student_status", _student_status),
-                    has_licence=_field(rec, "has_licence", _parse_bool),
-                    household_size=_field(rec, "household_size", int),
-                    household_cars=_field(rec, "household_cars", int),
-                ))
-            except FieldError as exc:
-                rejects.append(RejectedRow("persons", rowno, exc.field, str(exc)))
+            user_id, age_band, gender, employment, occupation, student, licence, size, cars = row
+            if user_id in user_rows:
+                rejects.append(RejectedRow(
+                    "persons", rowno, "user_id", f"duplicate user_id {user_id!r}, "
+                    f"first on row {user_rows[user_id]}"))
                 continue
-            p = persons[-1]
-            if p.household_size < 1 or p.household_cars < 0:
-                persons.pop()
-                column = "household_size" if p.household_size < 1 else "household_cars"
+            column = "age_band"
+            try:
+                age_band = _age_band(age_band)
+                column = "gender"
+                gender = _gender(gender)
+                column = "employment"
+                employment = _employment(employment)
+                column = "occupation"
+                occupation = _occupation(occupation)
+                column = "student_status"
+                student = _student_status(student)
+                column = "has_licence"
+                licence = _parse_bool(licence)
+                column = "household_size"
+                size = int(size)
+                column = "household_cars"
+                cars = int(cars)
+            except ValueError as exc:
+                rejects.append(RejectedRow("persons", rowno, column, str(exc)))
+                continue
+            if size < 1 or cars < 0:
+                column = "household_size" if size < 1 else "household_cars"
                 rejects.append(RejectedRow("persons", rowno, column,
                                            "household_size >= 1 and cars >= 0 required"))
+                continue
+            persons.append(SurveyPerson(user_id, age_band, gender, employment, occupation,
+                                        student, licence, size, cars))
+            user_rows[user_id] = rowno
 
-    known_users = {p.user_id for p in persons}
     trips: list[TripRecord] = []
     trip_rows: dict[str, int] = {}  # trip_id -> row of the trip kept under it
     with open(trips_path, newline="") as fh:
@@ -194,31 +209,36 @@ def load_population(
         for rowno, row in enumerate(reader, start=2):
             if len(row) != len(TRIPS_HEADER):
                 raise SchemaError(rowno, "row", f"expected {len(TRIPS_HEADER)} fields")
-            rec = dict(zip(TRIPS_HEADER, row))
-            if rec["user_id"] not in known_users:
-                raise DanglingUserRef(rowno, rec["user_id"])
-            if rec["trip_id"] in trip_rows:
+            trip_id, user_id, mode, start, end, distance, passengers, vehicle_class = row
+            if user_id not in user_rows:
+                raise DanglingUserRef(rowno, user_id)
+            if trip_id in trip_rows:
                 rejects.append(RejectedRow(
-                    "trips", rowno, "trip_id", f"duplicate trip_id {rec['trip_id']!r}, "
-                    f"first on row {trip_rows[rec['trip_id']]}"))
+                    "trips", rowno, "trip_id", f"duplicate trip_id {trip_id!r}, "
+                    f"first on row {trip_rows[trip_id]}"))
                 continue
+            column = "mode"
             try:
-                trips.append(TripRecord(
-                    trip_id=rec["trip_id"],
-                    user_id=rec["user_id"],
-                    mode=_field(rec, "mode", _mode),
-                    start_time=_field(rec, "start_time", float),
-                    end_time=_field(rec, "end_time", float),
-                    distance_m=_field(rec, "distance_m", float),
-                    passengers=_field(rec, "passengers", int),
-                    vehicle_class=rec["vehicle_class"] or None,
-                ))
-            except FieldError as exc:
+                mode = _mode(mode)
+                column = "start_time"
+                start = float(start)
+                column = "end_time"
+                end = float(end)
+                column = "distance_m"
+                distance = float(distance)
+                column = "passengers"
+                passengers = int(passengers)
+                trips.append(TripRecord(trip_id, user_id, mode, start, end, distance,
+                                        passengers, vehicle_class or None))
+            except FieldError as exc:  # a TripRecord check names its own column
                 rejects.append(RejectedRow("trips", rowno, exc.field, str(exc)))
                 continue
-            trip_rows[rec["trip_id"]] = rowno
+            except ValueError as exc:
+                rejects.append(RejectedRow("trips", rowno, column, str(exc)))
+                continue
+            trip_rows[trip_id] = rowno
 
-    trips.sort(key=lambda t: (t.start_time, t.trip_id))
+    trips.sort(key=_trip_order)
     return persons, trips, rejects
 
 
@@ -263,10 +283,51 @@ def load_profile(path: Optional[str | Path] = None) -> dict:
     return profile
 
 
-def _pick(rng: random.Random, shares: dict) -> str:
-    labels = list(shares)
-    weights = [shares[k] for k in labels]
-    return rng.choices(labels, weights=weights, k=1)[0]
+def _cumulative(labels: Sequence, weights: Sequence[float]) -> tuple:
+    """`(labels, cum, total, hi)`: the table `random.choices(labels, weights,
+    k=1)` builds for one draw, and the same ValueErrors for a bad one."""
+    cum = list(accumulate(weights))
+    if len(cum) != len(labels):
+        raise ValueError("The number of weights does not match the population")
+    total = cum[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not math.isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return labels, cum, total, len(cum) - 1
+
+
+def _weighted(shares: dict, label=None) -> tuple[list, list]:
+    """Labels (through `label`, if given) and weights of a `{label: weight}` share table."""
+    labels = list(shares) if label is None else [label(k) for k in shares]
+    return labels, list(shares.values())
+
+
+def _counted(weights: list, first: int = 0) -> tuple[range, list]:
+    """Labels `first, first + 1, ...` for a list of weights."""
+    return range(first, first + len(weights)), weights
+
+
+def _draw(random, table):
+    """One label of `table`, drawn as `random.choices` draws it from one
+    `random()`."""
+    labels, cum, total, hi = table
+    return labels[bisect(cum, random() * total, 0, hi)]
+
+
+class _Tables(dict):
+    """key -> `_cumulative` table of the distribution `source(key)` gives as
+    `(labels, weights)`, built when that key is first drawn, so a bad
+    distribution raises where `random.choices` would and one never drawn
+    never raises."""
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+
+    def __missing__(self, key):
+        table = self[key] = _cumulative(*self.source(key))
+        return table
 
 
 def generate_synthetic(
@@ -274,64 +335,77 @@ def generate_synthetic(
 ) -> tuple[list[SurveyPerson], list[TripRecord]]:
     """Deterministic synthetic population and day of trips.
 
-    The draw order is fixed, so one seed always yields the same population
+    Each weighted choice is one `rng.random()` scaled by the total weight and
+    bisected into that distribution's cumulative weights, which are built once
+    per distribution.  That is the draw `random.choices(labels, weights, k=1)`
+    makes, so it consumes the same numbers and raises the same errors.  The
+    draw order is fixed, so one seed always yields the same population
     regardless of platform.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     prof = profile if profile is not None else load_profile()
     rng = random.Random(seed)
+    uniform, gauss, rand = rng.uniform, rng.gauss, rng.random
     lo_m, hi_m = prof.get("distance_m_bounds", [150, 60000])
+
+    singles = {
+        "age": lambda: _weighted(prof["age_shares"]),
+        "gender": lambda: _weighted(prof["gender_shares"]),
+        "occupation": lambda: _weighted(prof["occupation_shares_employed"]),
+        "household_size": lambda: _weighted(prof["household_size_shares"], int),
+        "household_cars": lambda: _weighted(prof["household_cars_shares"], int),
+        "hour": lambda: (range(24), prof["depart_hour_weights"]),
+        "passengers": lambda: _counted(prof["car_passenger_shares"], 1),
+    }
+    tables = _Tables(lambda name: singles[name]())
+    employment_by_age = _Tables(lambda age: _weighted(prof["employment_shares_by_age"][age]))
+    student_by_age = _Tables(lambda age: _weighted(prof["student_shares_by_age"][age]))
+    mode_by_age = _Tables(lambda age: _weighted(prof["mode_shares_by_age"][age]))
+    trips_by_employment = _Tables(
+        lambda employment: _counted(prof["trip_count_shares_by_employment"][employment]))
 
     persons: list[SurveyPerson] = []
     trips: list[TripRecord] = []
     for i in range(n_users):
         user_id = f"u{i:05d}"
-        age = _pick(rng, prof["age_shares"])
-        gender = _pick(rng, prof["gender_shares"])
-        employment = _pick(rng, prof["employment_shares_by_age"][age])
-        student = _pick(rng, prof["student_shares_by_age"][age])
+        age = _draw(rand, tables["age"])
+        gender = _draw(rand, tables["gender"])
+        employment = _draw(rand, employment_by_age[age])
+        student = _draw(rand, student_by_age[age])
         if employment == "unemployed":
             occupation = "none"
         else:
-            occupation = _pick(rng, prof["occupation_shares_employed"])
-        licence = rng.random() < prof["licence_rate_by_age"][age]
-        household_size = int(_pick(rng, prof["household_size_shares"]))
-        household_cars = int(_pick(rng, prof["household_cars_shares"]))
+            occupation = _draw(rand, tables["occupation"])
+        licence = rand() < prof["licence_rate_by_age"][age]
+        household_size = _draw(rand, tables["household_size"])
+        household_cars = _draw(rand, tables["household_cars"])
         persons.append(SurveyPerson(
-            user_id, AgeBand(age), Gender(gender), Employment(employment),
-            Occupation(occupation), StudentStatus(student), licence,
+            user_id, _age_band(age), _gender(gender), _employment(employment),
+            _occupation(occupation), _student_status(student), licence,
             household_size, household_cars,
         ))
 
-        counts = prof["trip_count_shares_by_employment"][employment]
-        n_trips = rng.choices(range(len(counts)), weights=counts, k=1)[0]
+        n_trips = _draw(rand, trips_by_employment[employment])
         for k in range(n_trips):
-            mode = _pick(rng, prof["mode_shares_by_age"][age])
+            mode = _draw(rand, mode_by_age[age])
             mu, sigma = prof["distance_m_lognormal_by_mode"][mode]
-            distance = min(max(math.exp(rng.gauss(mu, sigma)), lo_m), hi_m)
+            distance = min(max(math.exp(gauss(mu, sigma)), lo_m), hi_m)
             v_lo, v_hi = prof["speed_kmh_by_mode"][mode]
-            speed = rng.uniform(v_lo, v_hi)
+            speed = uniform(v_lo, v_hi)
             duration = max(120.0, distance / 1000.0 / speed * 3600.0)
-            hour = rng.choices(range(24), weights=prof["depart_hour_weights"], k=1)[0]
-            start = hour * 3600.0 + rng.uniform(0, 3599.0)
+            hour = _draw(rand, tables["hour"])
+            start = hour * 3600.0 + uniform(0, 3599.0)
             if start + duration > SECONDS_PER_DAY - 1:
                 start = SECONDS_PER_DAY - 1 - duration
             if mode in ("car", "ride_hail"):
-                shares = prof["car_passenger_shares"]
-                passengers = rng.choices(range(1, len(shares) + 1),
-                                         weights=shares, k=1)[0]
+                passengers = _draw(rand, tables["passengers"])
             else:
                 passengers = 1
             trips.append(TripRecord(
-                trip_id=f"t{i:05d}-{k}",
-                user_id=user_id,
-                mode=Mode(mode),
-                start_time=round(start, 3),
-                end_time=round(start + duration, 3),
-                distance_m=round(distance, 1),
-                passengers=passengers,
+                f"t{i:05d}-{k}", user_id, _mode(mode), round(start, 3),
+                round(start + duration, 3), round(distance, 1), passengers,
             ))
 
-    trips.sort(key=lambda t: (t.start_time, t.trip_id))
+    trips.sort(key=_trip_order)
     return persons, trips

@@ -162,6 +162,7 @@ def test_criterion_04_throughput_and_latency(paper_scale_day):
     _pass(4, f"paper-scale day: throughput 1.00, latency within {rel_err:.1%}")
 
 
+@pytest.mark.slow
 def test_criterion_05_tamper_evidence():
     import dataclasses
     users = [NodeIdentity(f"user-{i}", Role.USER) for i in range(4)]

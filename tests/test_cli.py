@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from carbonledger.cli import main
+from carbonledger.ledger import TxKind, import_chain
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,24 @@ def test_duplicate_trip_id_is_rejected_and_the_day_completes(tmp_path, capsys):
     rejects = (tmp_path / "out" / "rejects.csv").read_text().splitlines()
     assert rejects == ["file,row,column,reason",
                        "trips,3,trip_id,\"duplicate trip_id 't-dup', first on row 2\""]
+
+
+def test_duplicate_user_id_is_rejected_and_granted_once(tmp_path, capsys):
+    run_cli(capsys, "synth", "--seed", "3", "--n-users", "2", "--out", str(tmp_path / "pop"))
+    persons = tmp_path / "pop" / "persons.csv"
+    lines = persons.read_text().splitlines()
+    persons.write_text("\n".join(lines + [lines[1]]) + "\n")
+    cfg = base_config(tmp_path, persons_file=str(persons),
+                      trips_file=str(tmp_path / "pop" / "trips.csv"))
+    code, out, _ = run_cli(capsys, "simulate", "-c", str(cfg))
+    assert code == 0
+    assert "users=2 " in out
+    rejects = (tmp_path / "out" / "rejects.csv").read_text().splitlines()
+    assert rejects == ["file,row,column,reason",
+                       "persons,4,user_id,\"duplicate user_id 'u00000', first on row 2\""]
+    genesis = import_chain((tmp_path / "out" / "ledger.ndjson").read_text()).chain[0]
+    grants = [tx.receiver for tx in genesis.txs if tx.kind is TxKind.ALLOCATION]
+    assert len(grants) == len(set(grants)) == 3  # two users and the market pool
 
 
 def test_verify_clean_chain(tmp_path, capsys):

@@ -27,6 +27,7 @@ from carbonledger.ledger import (
     make_transaction,
     max_faulty,
     quorum_size,
+    verify_chain,
 )
 from carbonledger.tokens import TokenAmount
 
@@ -302,12 +303,47 @@ def test_liveness_under_synchrony_with_tolerable_silence():
         assert result.decision.outcome == "committed"
 
 
-def test_delay_node_tolerated():
+def delay_node_chain(net, seed, n_pools=20):
+    """The chain a 4-validator engine commits over `n_pools` pools, and the
+    signers of each committed block."""
     ledger = make_ledger()
-    pool = make_pool(ledger)
-    net = NetworkModel(byzantine={VALIDATORS[1].address: Behavior.DELAY})
-    result = run_round(pool, ledger, net, ConsensusConfig(4), random.Random(2), 0, 0.0)
-    assert result.decision.outcome == "committed"
+    engine = ConsensusEngine(ConsensusConfig(4, rng_seed=seed), net)
+    signers = []
+    now = 0.0
+    for i in range(n_pools):
+        result, ledger, now = engine.run_until_commit(
+            make_pool(ledger, ts=100.0 + 10 * i), ledger, now)
+        if result is not None:
+            signers.append({addr for addr, _ in result.block.signatures})
+    return ledger, signers
+
+
+def test_delay_node_tolerated():
+    # under the default 10-20 ms links a `delay` node's sends take 50-100 ms,
+    # past the 20 ms proposal deadline and the 39.8 ms vote window, so it is
+    # in effect silent: it signs no committed block, and only the rounds it
+    # proposes fail
+    slow = VALIDATORS[1].address
+    net = NetworkModel(byzantine={slow: Behavior.DELAY})
+    for seed in range(30):
+        ledger = make_ledger()
+        result = run_round(make_pool(ledger), ledger, net, ConsensusConfig(4),
+                           random.Random(seed), 0, 0.0)
+        assert result.decision.outcome == "committed"
+        assert slow not in dict(result.block.signatures)
+    ledger, signers = delay_node_chain(net, seed=2)
+    assert verify_chain(ledger).ok and len(signers) == 20
+    assert not any(slow in block for block in signers)
+
+
+def test_delay_node_votes_sometimes_land_on_fast_links():
+    # with 0-20 ms links its votes take 0-100 ms and land inside the 39.6 ms
+    # window whenever the drawn delay is below 7.92 ms
+    slow = VALIDATORS[1].address
+    net = NetworkModel(0.0, 20.0, byzantine={slow: Behavior.DELAY})
+    ledger, signers = delay_node_chain(net, seed=5)
+    assert verify_chain(ledger).ok and signers
+    assert any(slow in block for block in signers)
 
 
 def test_two_byzantine_beyond_bound_needs_flag():

@@ -1,18 +1,26 @@
 """Population loading, rejects reporting, synthetic generation."""
 
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carbonledger.emissions import Mode
 from carbonledger.population import (
     DanglingUserRef,
+    PERSONS_HEADER,
     RejectedRow,
     SchemaError,
     TRIPS_HEADER,
+    _cumulative,
+    _draw,
     generate_synthetic,
     load_population,
     load_profile,
     write_population,
 )
+from carbonledger.simulator import child_seed
 
 PERSONS_CSV = """user_id,age_band,gender,employment,occupation,student_status,has_licence,household_size,household_cars
 u1,25_39,female,full_time,professional_mgmt_tech,none,true,2,1
@@ -101,6 +109,97 @@ def test_duplicate_trip_id_keeps_the_first_row(tmp_path):
         for row in (4, 5)]
 
 
+def test_duplicate_user_id_keeps_the_first_row(tmp_path):
+    persons = PERSONS_CSV + ("u1,60_plus,male,unemployed,none,none,true,1,0\n"
+                             "u2,18_24,female,part_time,none,none,false,3,1\n")
+    loaded, trips, rejects = load_population(*write(tmp_path, persons=persons))
+    assert [(p.user_id, p.age_band.value) for p in loaded] == [
+        ("u1", "25_39"), ("u2", "under_18")]
+    assert len(trips) == 2
+    assert rejects == [
+        RejectedRow("persons", 4, "user_id", "duplicate user_id 'u1', first on row 2"),
+        RejectedRow("persons", 5, "user_id", "duplicate user_id 'u2', first on row 3")]
+
+
+def test_rejected_row_does_not_claim_its_user_id(tmp_path):
+    persons = PERSONS_CSV + ("u3,elderly,male,unemployed,none,none,true,1,0\n"
+                             "u3,60_plus,male,unemployed,none,none,true,1,0\n")
+    loaded, _, rejects = load_population(*write(tmp_path, persons=persons))
+    assert [p.user_id for p in loaded] == ["u1", "u2", "u3"]
+    assert [(r.row, r.column) for r in rejects] == [(4, "age_band")]
+
+
+# one bad value in every parsed column, each `TripRecord` check, two bad
+# values in one row (the first column in file order is named) and a
+# repeated trip id; the reject list was recorded from the loader that parsed
+# each row through a dict of named fields
+PARITY_PERSONS = [
+    "u1,25_39,female,full_time,professional_mgmt_tech,none,true,2,1",
+    "u2,elderly,female,full_time,none,none,true,1,0",
+    "u3,25_39,other,full_time,none,none,true,1,0",
+    "u4,25_39,male,retired,none,none,true,1,0",
+    "u5,25_39,male,full_time,pilot,none,true,1,0",
+    "u6,25_39,male,full_time,none,sometimes,true,1,0",
+    "u7,25_39,male,full_time,none,none,maybe,1,0",
+    "u8,25_39,male,full_time,none,none,true,two,0",
+    "u9,25_39,male,full_time,none,none,true,2,1.5",
+    "u10,25_39,male,full_time,none,none,true,0,0",
+    "u11,25_39,male,full_time,none,none,true,2,-1",
+    "u12,teen,robot,full_time,none,none,true,x,y",
+    "u13,,female,full_time,none,none,TRUE,3,0",
+]
+PARITY_TRIPS = [
+    "t1,u1,car,28800,30600,9400,2,",
+    "t2,u1,teleport,100,200,1000,1,",
+    "t3,u1,car,morning,200,1000,1,",
+    "t4,u1,car,100,noon,1000,1,",
+    "t5,u1,car,100,200,far,1,",
+    "t6,u1,car,100,200,1000,one,",
+    "t7,u1,car,500,400,1000,1,",
+    "t8,u1,car,100,200,-5,1,",
+    "t9,u1,car,100,200,1000,0,",
+    "t10,u1,car,100,100,-1,0,",
+    "t11,u1,hover,x,y,z,w,",
+    "t1,u1,bus,100,200,1000,1,",
+    "t12,u1,bus,100,200,1e3,2,compact",
+]
+PARITY_REJECTS = [
+    ("persons", 3, "age_band", "'elderly' is not a valid AgeBand"),
+    ("persons", 4, "gender", "'other' is not a valid Gender"),
+    ("persons", 5, "employment", "'retired' is not a valid Employment"),
+    ("persons", 6, "occupation", "'pilot' is not a valid Occupation"),
+    ("persons", 7, "student_status", "'sometimes' is not a valid StudentStatus"),
+    ("persons", 8, "has_licence", "not a boolean: 'maybe'"),
+    ("persons", 9, "household_size", "invalid literal for int() with base 10: 'two'"),
+    ("persons", 10, "household_cars", "invalid literal for int() with base 10: '1.5'"),
+    ("persons", 11, "household_size", "household_size >= 1 and cars >= 0 required"),
+    ("persons", 12, "household_cars", "household_size >= 1 and cars >= 0 required"),
+    ("persons", 13, "age_band", "'teen' is not a valid AgeBand"),
+    ("persons", 14, "age_band", "'' is not a valid AgeBand"),
+    ("trips", 3, "mode", "'teleport' is not a valid Mode"),
+    ("trips", 4, "start_time", "could not convert string to float: 'morning'"),
+    ("trips", 5, "end_time", "could not convert string to float: 'noon'"),
+    ("trips", 6, "distance_m", "could not convert string to float: 'far'"),
+    ("trips", 7, "passengers", "invalid literal for int() with base 10: 'one'"),
+    ("trips", 8, "end_time", "trip t7: end_time must exceed start_time"),
+    ("trips", 9, "distance_m", "trip t8: negative distance"),
+    ("trips", 10, "passengers", "trip t9: passengers must be >= 1"),
+    ("trips", 11, "end_time", "trip t10: end_time must exceed start_time"),
+    ("trips", 12, "mode", "'hover' is not a valid Mode"),
+    ("trips", 13, "trip_id", "duplicate trip_id 't1', first on row 2"),
+]
+
+
+def test_every_column_rejects_with_its_name_and_reason(tmp_path):
+    persons = ",".join(PERSONS_HEADER) + "\n" + "\n".join(PARITY_PERSONS) + "\n"
+    trips = ",".join(TRIPS_HEADER) + "\n" + "\n".join(PARITY_TRIPS) + "\n"
+    loaded, kept, rejects = load_population(*write(tmp_path, persons=persons, trips=trips))
+    assert [p.user_id for p in loaded] == ["u1"]
+    assert [(t.trip_id, t.distance_m, t.vehicle_class) for t in kept] == [
+        ("t12", 1000.0, "compact"), ("t1", 9400.0, None)]
+    assert [(r.file, r.row, r.column, r.reason) for r in rejects] == PARITY_REJECTS
+
+
 def test_empty_trips_file_is_a_valid_zero_trip_day(tmp_path):
     p, t = write(tmp_path, trips=",".join(TRIPS_HEADER) + "\n")
     persons, trips, rejects = load_population(p, t)
@@ -154,6 +253,55 @@ def test_seniors_overwhelmingly_drive():
     senior_trips = [t for t in trips if t.user_id in seniors]
     share = sum(1 for t in senior_trips if t.mode is Mode.CAR) / len(senior_trips)
     assert abs(share - 0.9839) < 0.05
+
+
+weights = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.integers(0, 50)),
+                  min_size=1, max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights, st.integers(0, 2**64))
+def test_table_draw_is_what_random_choices_draws(w, seed):
+    labels = [f"l{i}" for i in range(len(w))]
+    ours, theirs = random.Random(seed), random.Random(seed)
+    try:
+        table = _cumulative(labels, w)
+    except ValueError as exc:  # a zero total: `choices` refuses it alike
+        with pytest.raises(ValueError, match=str(exc)):
+            theirs.choices(labels, weights=w, k=1)
+        return
+    for _ in range(5):
+        assert _draw(ours.random, table) == theirs.choices(labels, weights=w, k=1)[0]
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_bad_distribution_raises_only_when_first_drawn():
+    profile = load_profile()
+    # nobody is unemployed at seed 7 with 3 users, so this table is never built
+    profile["trip_count_shares_by_employment"]["unemployed"] = [0, 0]
+    persons, _ = generate_synthetic(7, 3, profile)
+    assert all(p.employment.value != "unemployed" for p in persons)
+    profile["gender_shares"] = {"male": 0.0, "female": 0.0}
+    with pytest.raises(ValueError, match="greater than zero"):
+        generate_synthetic(7, 3, profile)
+
+
+# sha256(persons.csv + NUL + trips.csv) of `write_population(generate_synthetic(
+# seed, n))`, recorded from the generator that called `random.choices` per draw
+POPULATION_DIGESTS = {
+    (child_seed(7, "population"), 3186):
+        "046b3b1237a49062264dee61ee2e88750ec5fc3bb38aaa781dc4538e472e58b3",
+    (1, 5): "ea64a3d8a892e2875c4b9cc98d637f3a66ef25ae7fe5b91f32bf4858575e2bae",
+    (123, 800): "c8fa2e3dd82bfc12639fdcad43f297b35c8a0177903ce89d1e8380aa38ad0db7",
+}
+
+
+@pytest.mark.parametrize("seed,n_users", sorted(POPULATION_DIGESTS))
+def test_population_bytes_match_pinned_digest(seed, n_users, tmp_path):
+    persons, trips = tmp_path / "persons.csv", tmp_path / "trips.csv"
+    write_population(*generate_synthetic(seed, n_users), persons, trips)
+    digest = hashlib.sha256(persons.read_bytes() + b"\0" + trips.read_bytes())
+    assert digest.hexdigest() == POPULATION_DIGESTS[seed, n_users]
 
 
 def test_forced_walk_profile_produces_only_walks():
