@@ -22,7 +22,6 @@ from .ledger import (
 )
 from .consensus import (
     Behavior,
-    ConsensusConfig,
     ConsensusEngine,
     Decision,
     NetworkModel,

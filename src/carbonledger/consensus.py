@@ -64,7 +64,6 @@ from .ledger import (
     build_block,
     compute_block_hash,
     digest,
-    quorum_size,
     max_faulty,
     with_signatures,
 )
@@ -88,24 +87,6 @@ class Behavior(Enum):
     SILENT = "silent"
     EQUIVOCATE = "equivocate"
     DELAY = "delay"
-
-
-@dataclass(frozen=True)
-class ConsensusConfig:
-    n_active: int
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_active < 1:
-            raise ValueError("need at least one active node")
-
-    @property
-    def quorum(self) -> int:
-        return quorum_size(self.n_active)
-
-    @property
-    def max_faulty(self) -> int:
-        return max_faulty(self.n_active)
 
 
 @dataclass(frozen=True)
@@ -293,20 +274,18 @@ def run_round(
     pool: Sequence[TokenTransaction],
     ledger: Ledger,
     network: NetworkModel,
-    config: ConsensusConfig,
     rng: random.Random,
     round_no: int = 0,
     start_time: float = 0.0,
 ) -> RoundResult:
-    """Propose, broadcast, vote and tally once; apply the block on commit.
+    """Propose, broadcast, vote and tally once among the ledger's validators;
+    apply the block on commit.
 
     On ``no_quorum`` or ``round_timeout`` the input ledger is returned
     unchanged and the caller retries with the pool intact.
     """
     validators = ledger.validators
     n = len(validators)
-    if n != config.n_active:
-        raise ConsensusError(f"ledger has {n} validators, config says {config.n_active}")
     network.check_fault_bound(n)
     byzantine = network.byzantine
     head = ledger.head
@@ -363,7 +342,7 @@ def run_round(
     n_dropped = sum(row.count(None) for rows in (prop_rows, vote_rows) for row in rows)
 
     # --- a node commits the hash whose count there reaches quorum ---
-    quorum = config.quorum
+    quorum = ledger.quorum
     counts, late_or_dropped = count_first_votes(ballots, vote_rows, round_deadline)
     committers: dict[str, list[int]] = {}  # hash -> the honest nodes that commit it
     max_count = 0
@@ -428,11 +407,9 @@ class TraceRow:
 class ConsensusEngine:
     """Sequences rounds over one chain: retries on timeout, keeps a trace."""
 
-    def __init__(self, config: ConsensusConfig, network: NetworkModel,
-                 rng: Optional[random.Random] = None):
-        self.config = config
+    def __init__(self, network: NetworkModel, rng: random.Random):
         self.network = network
-        self.rng = rng if rng is not None else random.Random(config.rng_seed)
+        self.rng = rng
         self.round_no = 0
         self.trace: list[TraceRow] = []
         self.equivocations: list[tuple[str, int, tuple[str, ...]]] = []
@@ -451,7 +428,7 @@ class ConsensusEngine:
         start = submit_time
         for _ in range(max_retries):
             result = run_round(
-                pool, ledger, self.network, self.config, self.rng,
+                pool, ledger, self.network, self.rng,
                 round_no=self.round_no, start_time=start,
             )
             self.round_no += 1

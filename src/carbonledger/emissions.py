@@ -173,7 +173,6 @@ class PricePolicy:
 @dataclass(frozen=True)
 class BusChargingPolicy:
     seats_per_bus: float = 50.55
-    operator_pays_remainder: bool = False
 
     def __post_init__(self):
         if self.seats_per_bus <= 0:

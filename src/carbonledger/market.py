@@ -5,16 +5,16 @@ an equal grant at genesis (largest-remainder reconciliation keeps the sum
 exact).  Trip payments retire tokens into a non-recirculating retirement
 account; a user short of tokens automatically buys the shortfall from the
 market pool at the fixed price before paying.  Sales flow back into the
-pool at par.  Fiat totals are bookkeeping only and never touch the chain.
+pool at par.  The market keeps no running totals: what was bought, sold
+and retired is the sum of the chain's committed transactions of that kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Mapping, Optional, Sequence
 
-from .emissions import BusChargingPolicy, PricePolicy, TripRecord, PER_SEAT_MODES
+from .emissions import BusChargingPolicy, TripRecord, PER_SEAT_MODES
 from .ledger import Ledger, NodeIdentity, Role, TokenTransaction, TxKind, make_transaction
 from .tokens import TokenAmount, total
 
@@ -96,21 +96,14 @@ OPERATOR_NODE = NodeIdentity("transit-operator", Role.OPERATOR, {})
 class Market:
     """Fixed-price counterparty: sells to cover deficits, buys surpluses.
 
-    Pool state is a view of the market wallet on the ledger; the fiat side
-    and the resale counters advance only in `record_committed`, so every
-    pool change is backed by a committed transaction.
+    It holds no state: the pool is the market wallet's balance on the
+    ledger it is given, and it only builds transactions, which change
+    anything once a block commits them.
     """
 
-    def __init__(self, price: PricePolicy):
-        self.price = price
-        self.address = MARKET_NODE.address
-        self.retirement_address = RETIREMENT_NODE.address
-        self.issuer_address = ISSUER_NODE.address
-        self.purchases_cad = Decimal(0)
-        self.sales_cad = Decimal(0)
-        self.purchased = TokenAmount.zero()
-        self.sold = TokenAmount.zero()
-        self.retired = TokenAmount.zero()
+    address = MARKET_NODE.address
+    retirement_address = RETIREMENT_NODE.address
+    issuer_address = ISSUER_NODE.address
 
     # -- genesis --
 
@@ -180,13 +173,13 @@ class Market:
     def operator_settlement(self, trip: TripRecord, occupied_seats: float,
                             per_seat: TokenAmount, bus_policy: BusChargingPolicy,
                             ledger: Ledger, now: float) -> Optional[TokenTransaction]:
-        """Charge the operator for empty bus seats, when the policy says so;
-        `per_seat` is the trip's token cost per seat.
+        """Charge the operator for a bus trip's empty seats; `per_seat` is the
+        trip's token cost per seat.
 
         The tokens are drawn from the market pool straight into retirement;
-        the operator's side is settled in fiat bookkeeping.
+        the operator pays for them outside the chain.
         """
-        if not bus_policy.operator_pays_remainder or trip.mode not in PER_SEAT_MODES:
+        if trip.mode not in PER_SEAT_MODES:
             return None
         remainder, amount = operator_remainder(occupied_seats, per_seat, bus_policy)
         if amount.centi == 0:
@@ -199,18 +192,3 @@ class Market:
             description=f"trip:{trip.trip_id};operator:{OPERATOR_NODE.node_id};"
                         f"seats:{remainder:.2f}",
         )
-
-    # -- bookkeeping --
-
-    def record_committed(self, txs: Sequence[TokenTransaction]) -> None:
-        for tx in txs:
-            if tx.kind is TxKind.PURCHASE and tx.sender == self.address:
-                self.purchased = self.purchased + tx.amount
-                self.purchases_cad += tx.amount.to_cad()
-            elif tx.kind is TxKind.SALE and tx.receiver == self.address:
-                self.sold = self.sold + tx.amount
-                self.sales_cad += tx.amount.to_cad()
-            elif tx.receiver == self.retirement_address and tx.kind in (
-                TxKind.TRIP_PAYMENT, TxKind.OPERATOR_SETTLEMENT
-            ):
-                self.retired = self.retired + tx.amount

@@ -7,12 +7,12 @@ CSV schemas:
                passengers,vehicle_class
 
 Structural problems (wrong header, short rows) raise SchemaError and a trip
-pointing at an unknown user raises DanglingUserRef; rows with bad field
-values or a repeated id are collected into a rejects report instead of
-being silently dropped.  The synthetic generator is fully profile-driven
-and deterministic per seed; the bundled profile is a labeled synthetic
-stand-in whose age and mode marginals follow plausible suburban commuting
-patterns.
+pointing at a user in no persons row raises DanglingUserRef; rows with bad
+field values or a repeated id, and the trips of a rejected person, are
+collected into a rejects report instead of being silently dropped.  The
+synthetic generator is fully profile-driven and deterministic per seed; the
+bundled profile is a labeled synthetic stand-in whose age and mode marginals
+follow plausible suburban commuting patterns.
 """
 
 from __future__ import annotations
@@ -151,10 +151,12 @@ def load_population(
     A row whose `user_id` (persons) or `trip_id` (trips) an earlier kept row
     already holds is rejected, so each id names one person or one trip.  A
     bad value is rejected under the first column, in file order, that fails
-    to parse, or under the column a `TripRecord` check names."""
+    to parse, or under the column a `TripRecord` check names.  The trips of a
+    user whose only persons rows were rejected are rejected under `user_id`."""
     rejects: list[RejectedRow] = []
     persons: list[SurveyPerson] = []
     user_rows: dict[str, int] = {}  # user_id -> row of the person kept under it
+    rejected_rows: dict[str, int] = {}  # user_id -> first rejected row holding it
 
     with open(persons_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -187,13 +189,12 @@ def load_population(
                 size = int(size)
                 column = "household_cars"
                 cars = int(cars)
+                if size < 1 or cars < 0:
+                    column = "household_size" if size < 1 else "household_cars"
+                    raise ValueError("household_size >= 1 and cars >= 0 required")
             except ValueError as exc:
                 rejects.append(RejectedRow("persons", rowno, column, str(exc)))
-                continue
-            if size < 1 or cars < 0:
-                column = "household_size" if size < 1 else "household_cars"
-                rejects.append(RejectedRow("persons", rowno, column,
-                                           "household_size >= 1 and cars >= 0 required"))
+                rejected_rows.setdefault(user_id, rowno)
                 continue
             persons.append(SurveyPerson(user_id, age_band, gender, employment, occupation,
                                         student, licence, size, cars))
@@ -211,7 +212,12 @@ def load_population(
                 raise SchemaError(rowno, "row", f"expected {len(TRIPS_HEADER)} fields")
             trip_id, user_id, mode, start, end, distance, passengers, vehicle_class = row
             if user_id not in user_rows:
-                raise DanglingUserRef(rowno, user_id)
+                if user_id not in rejected_rows:
+                    raise DanglingUserRef(rowno, user_id)
+                rejects.append(RejectedRow(
+                    "trips", rowno, "user_id", f"user {user_id!r} was rejected "
+                    f"on persons row {rejected_rows[user_id]}"))
+                continue
             if trip_id in trip_rows:
                 rejects.append(RejectedRow(
                     "trips", rowno, "trip_id", f"duplicate trip_id {trip_id!r}, "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import statistics
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -22,7 +23,6 @@ from typing import (Mapping, Optional, Sequence, Union, get_args, get_origin,
 
 from .consensus import (
     Behavior,
-    ConsensusConfig,
     ConsensusEngine,
     NetworkModel,
     TraceRow,
@@ -109,8 +109,7 @@ class SimulationConfig:
     price_cad_per_tonne: float = 20.0
     seats_per_bus: float = 50.55
     operator_pays_remainder: bool = False
-    cap_mode: str = "computed"  # "computed" | "explicit"
-    explicit_cap_tokens: Optional[str] = None
+    cap_tokens: Optional[str] = None  # None: the sum of the day's trip costs
     initial_pool_tokens: Optional[str] = None
     persons_file: Optional[str] = None
     trips_file: Optional[str] = None
@@ -169,7 +168,6 @@ class SimulationResult:
     equivocations: list[tuple[str, int, tuple[str, ...]]]  # (voter, round, hashes)
     failed_pools: list[FailedPool]
     rejects: list[RejectedRow]
-    market: Market
 
     @property
     def throughput(self) -> Optional[float]:
@@ -242,16 +240,24 @@ def trip_payments(user_addresses: Mapping[str, str], trips: Sequence[TripRecord]
 
 def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> SimulationResult:
     """Replay one simulated day; aborts export a partial ledger for autopsy."""
-    for name in ("n_active_nodes", "max_round_retries"):
+    for name in ("n_active_nodes", "max_round_retries", "batch_window"):
         if getattr(config, name) < 1:
             raise ValueError(f"config field {name!r} must be at least 1, "
                              f"got {getattr(config, name)}")
+    for name in ("cap_tokens", "initial_pool_tokens"):
+        value = getattr(config, name)
+        if value is not None and TokenAmount.from_tokens(value).centi < 0:
+            raise ValueError(f"config field {name!r} must not be negative, got {value!r}")
+    if bool(config.persons_file) != bool(config.trips_file):
+        given, missing = (("persons_file", "trips_file") if config.persons_file
+                          else ("trips_file", "persons_file"))
+        raise ValueError(f"config field {missing!r} must be set with {given!r}")
     out_path = Path(out_dir) if out_dir else (
         Path(config.out_dir) if config.out_dir else None
     )
 
     # inputs
-    if config.persons_file and config.trips_file:
+    if config.persons_file:
         persons, trips, rejects = load_population(config.persons_file, config.trips_file)
     else:
         profile = load_profile(config.profile_file)
@@ -264,14 +270,10 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     table = (EmissionFactorTable.from_csv(Path(config.factors_file).read_text())
              if config.factors_file else EmissionFactorTable.default())
     price = PricePolicy(config.price_cad_per_tonne)
-    bus_policy = BusChargingPolicy(config.seats_per_bus, config.operator_pays_remainder)
+    bus_policy = BusChargingPolicy(config.seats_per_bus)
     trip_costs = {t.trip_id: trip_cost(t, table, bus_policy, price) for t in trips}
-    if config.cap_mode == "explicit":
-        if config.explicit_cap_tokens is None:
-            raise ValueError("cap_mode=explicit needs explicit_cap_tokens")
-        cap_policy = CapPolicy(cap=TokenAmount.from_tokens(config.explicit_cap_tokens))
-    else:
-        cap_policy = compute_cap(trip_costs)
+    cap_policy = (compute_cap(trip_costs) if config.cap_tokens is None
+                  else CapPolicy(cap=TokenAmount.from_tokens(config.cap_tokens)))
     cap = cap_policy.cap
     if config.initial_pool_tokens is not None:
         initial_pool = TokenAmount.from_tokens(config.initial_pool_tokens)
@@ -289,12 +291,11 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     validators = [NodeIdentity(f"validator-{i}", Role.ACTIVE_VALIDATOR)
                   for i in range(config.n_active_nodes)]
     identities = users + [MARKET_NODE, RETIREMENT_NODE, ISSUER_NODE, OPERATOR_NODE]
-    market = Market(price)
+    market = Market()
     genesis_txs = market.genesis_transactions(
         [u.address for u in users], cap_policy, initial_pool
     )
     ledger = create_genesis(identities, validators, genesis_txs)
-    market.record_committed(genesis_txs)
 
     user_addresses = {p.user_id: u.address for p, u in zip(persons, users)}
     grants = genesis_grants(user_addresses, ledger.chain[0].txs)
@@ -313,10 +314,7 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
         unsafe_faults=config.unsafe_faults,
     )
     network.check_fault_bound(config.n_active_nodes)
-    engine = ConsensusEngine(
-        ConsensusConfig(config.n_active_nodes, rng_seed=child_seed(config.seed, "network")),
-        network,
-    )
+    engine = ConsensusEngine(network, random.Random(child_seed(config.seed, "network")))
 
     latencies: list[float] = []
     failed_pools: list[FailedPool] = []
@@ -343,7 +341,6 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
                                  tuple(pool)))
             return
         committed += len(pool)
-        market.record_committed(pool)
         for tx in pool:
             latencies.append((result.commit_time - submit_times[tx.tx_id]) * 1000.0)
             minute = min(MINUTES_PER_DAY - 1, max(0, int(result.commit_time // 60)))
@@ -358,12 +355,13 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
                 user_addresses[trip.user_id], cost, view,
                 now=trip.end_time, description=_settlement_description(trip),
             )
-            op_tx = market.operator_settlement(
-                trip, float(trip.passengers), cost, bus_policy, view,
-                now=trip.end_time + 0.002,
-            )
-            if op_tx is not None:
-                txs.append(op_tx)
+            if config.operator_pays_remainder:
+                op_tx = market.operator_settlement(
+                    trip, float(trip.passengers), cost, bus_policy, view,
+                    now=trip.end_time + 0.002,
+                )
+                if op_tx is not None:
+                    txs.append(op_tx)
             if not txs:
                 continue
             for tx in txs:
@@ -398,7 +396,6 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
         equivocations=engine.equivocations,
         failed_pools=failed_pools,
         rejects=rejects,
-        market=market,
     )
     if out_path is not None:
         write_artifacts(result, out_path)

@@ -16,7 +16,6 @@ import pytest
 
 from carbonledger.consensus import (
     Behavior,
-    ConsensusConfig,
     ConsensusEngine,
     NetworkModel,
 )
@@ -58,9 +57,8 @@ def test_criterion_01_cap_arithmetic():
     cap = TokenAmount(grant.centi * n_users)
     assert str(cap) == "1573708.73"
 
-    market = Market(PricePolicy(20.0))
     users = [f"{i:040x}" for i in range(n_users)]
-    txs = allocate(users, CapPolicy(cap=cap), market.address)
+    txs = allocate(users, CapPolicy(cap=cap), Market.address)
     assert len(txs) == n_users
     assert all(tx.amount == grant for tx in txs)
     total = TokenAmount(sum(tx.amount.centi for tx in txs))
@@ -89,15 +87,14 @@ def test_criterion_03_consensus_safety():
     allocs = [make_transaction(0.0, mint.address, u.address, TokenAmount(10_000),
                                TxKind.ALLOCATION) for u in users]
     base = create_genesis(users + [mint, sink], validators, allocs)
-    cfg = ConsensusConfig(4)
-    assert cfg.quorum == 3  # minimum 2/3 of 4 participants
+    assert base.quorum == 3  # minimum 2/3 of 4 participants
 
     runs = 0
     for behavior in Behavior:
         for position in range(4):
             net = NetworkModel(byzantine={validators[position].address: behavior})
             for seed in range(84):  # 3 behaviors x 4 positions x 84 = 1,008 runs
-                engine = ConsensusEngine(ConsensusConfig(4, rng_seed=seed), net)
+                engine = ConsensusEngine(net, random.Random(seed))
                 ledger = base
                 heights_committed = set()
                 for depth in range(2):
@@ -216,8 +213,8 @@ def test_criterion_06_token_conservation(paper_scale_day):
         assert sum(balances.values()) == minted  # after every committed block
 
     user_wallets = sum(ledger.balance(a).centi for a in result.user_addresses.values())
-    pool = result.market.pool(ledger).centi
-    retired = ledger.balance(result.market.retirement_address).centi
+    pool = ledger.balance(Market.address).centi
+    retired = ledger.balance(Market.retirement_address).centi
     assert user_wallets + retired + pool == minted == ledger.minted_centi
     _pass(6, "token conservation: wallets + retired + pool == minted, every block")
 

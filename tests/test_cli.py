@@ -52,6 +52,12 @@ def test_simulate_missing_trips_file_exits_2_with_json(tmp_path, capsys):
     ([1], "JSON object"),
     ({"n_active_nodes": 0, "synthetic_users": 5}, "n_active_nodes"),
     ({"max_round_retries": 0, "synthetic_users": 5}, "max_round_retries"),
+    ({"batch_window": 0, "synthetic_users": 5}, "batch_window"),
+    ({"initial_pool_tokens": "-1.00", "synthetic_users": 5}, "initial_pool_tokens"),
+    ({"cap_tokens": "-0.01", "synthetic_users": 5}, "cap_tokens"),
+    ({"cap_mode": "explicit"}, "cap_mode"),
+    ({"persons_file": "persons.csv"}, "field 'trips_file'"),
+    ({"trips_file": "trips.csv"}, "field 'persons_file'"),
 ])
 def test_simulate_mistyped_config_exits_2(tmp_path, capsys, config, named):
     path = tmp_path / "day.json"
@@ -158,6 +164,25 @@ def test_duplicate_user_id_is_rejected_and_granted_once(tmp_path, capsys):
     genesis = import_chain((tmp_path / "out" / "ledger.ndjson").read_text()).chain[0]
     grants = [tx.receiver for tx in genesis.txs if tx.kind is TxKind.ALLOCATION]
     assert len(grants) == len(set(grants)) == 3  # two users and the market pool
+
+
+def test_rejected_person_rejects_their_trips_and_the_day_completes(tmp_path, capsys):
+    run_cli(capsys, "synth", "--seed", "3", "--n-users", "2", "--out", str(tmp_path / "pop"))
+    persons, trips = tmp_path / "pop" / "persons.csv", tmp_path / "pop" / "trips.csv"
+    lines = persons.read_text().splitlines()
+    user_id, _, rest = lines[1].split(",", 2)
+    persons.write_text("\n".join([lines[0], f"{user_id},elderly,{rest}"] + lines[2:]) + "\n")
+    rows = [row for row, line in enumerate(trips.read_text().splitlines()[1:], start=2)
+            if line.split(",")[1] == user_id]
+    cfg = base_config(tmp_path, persons_file=str(persons), trips_file=str(trips))
+    code, out, _ = run_cli(capsys, "simulate", "-c", str(cfg))
+    assert code == 0
+    assert "users=1 " in out
+    rejects = (tmp_path / "out" / "rejects.csv").read_text().splitlines()
+    assert rows and rejects == [
+        "file,row,column,reason", "persons,2,age_band,\"'elderly' is not a valid AgeBand\""
+    ] + [f"trips,{row},user_id,\"user '{user_id}' was rejected on persons row 2\""
+         for row in rows]
 
 
 def test_verify_clean_chain(tmp_path, capsys):

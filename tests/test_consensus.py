@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from carbonledger.consensus import (
     Behavior,
-    ConsensusConfig,
     ConsensusEngine,
     NetworkModel,
     UnsafeFaultConfig,
@@ -224,7 +223,7 @@ def test_counts_decide_what_tally_votes_commits(world):
 def test_honest_round_commits_and_applies():
     ledger = make_ledger()
     pool = make_pool(ledger)
-    result = run_round(pool, ledger, NetworkModel(), ConsensusConfig(4),
+    result = run_round(pool, ledger, NetworkModel(),
                        random.Random(5), round_no=0, start_time=100.0)
     assert result.decision.outcome == "committed"
     assert result.ledger.height == 1
@@ -236,10 +235,8 @@ def test_honest_round_commits_and_applies():
 def test_round_is_deterministic():
     ledger = make_ledger()
     pool = make_pool(ledger)
-    r1 = run_round(pool, ledger, NetworkModel(), ConsensusConfig(4),
-                   random.Random(5), 0, 100.0)
-    r2 = run_round(pool, ledger, NetworkModel(), ConsensusConfig(4),
-                   random.Random(5), 0, 100.0)
+    r1 = run_round(pool, ledger, NetworkModel(), random.Random(5), 0, 100.0)
+    r2 = run_round(pool, ledger, NetworkModel(), random.Random(5), 0, 100.0)
     assert r1.decision == r2.decision
     assert r1.commit_time == r2.commit_time
     assert r1.block.block_hash == r2.block.block_hash
@@ -250,8 +247,7 @@ def test_one_equivocator_still_commits_without_fork():
     pool = make_pool(ledger, n=3)
     for seed in range(50):
         net = NetworkModel(byzantine={VALIDATORS[3].address: Behavior.EQUIVOCATE})
-        result = run_round(pool, ledger, net, ConsensusConfig(4),
-                           random.Random(seed), 0, 100.0)
+        result = run_round(pool, ledger, net, random.Random(seed), 0, 100.0)
         assert result.decision.outcome == "committed"
         assert len(result.fork_hashes) == 1
         assert result.equivocations
@@ -273,7 +269,7 @@ def test_each_proposal_validated_once_per_round(monkeypatch, leader_behavior, pr
         return original(self, txs)
 
     monkeypatch.setattr(Ledger, "validate_pool", counting)
-    run_round(pool, ledger, NetworkModel(byzantine=byz), ConsensusConfig(4),
+    run_round(pool, ledger, NetworkModel(byzantine=byz),
               random.Random(5), round_no=0, start_time=100.0)
     # not one call per delivery: the proposer sends to all 4 validators
     assert len(calls) == proposals
@@ -284,7 +280,7 @@ def test_silent_leader_times_out_then_next_leader_commits():
     ledger = make_ledger()
     pool = make_pool(ledger)
     net = NetworkModel(byzantine={VALIDATORS[0].address: Behavior.SILENT})
-    engine = ConsensusEngine(ConsensusConfig(4, rng_seed=11), net)
+    engine = ConsensusEngine(net, random.Random(11))
     result, new_ledger, _ = engine.run_until_commit(pool, ledger, 100.0)
     assert result is not None and new_ledger.height == 1
     outcomes = [row.outcome for row in engine.trace]
@@ -298,8 +294,7 @@ def test_liveness_under_synchrony_with_tolerable_silence():
     pool = make_pool(ledger)
     net = NetworkModel(byzantine={VALIDATORS[2].address: Behavior.SILENT})
     for seed in range(30):
-        result = run_round(pool, ledger, net, ConsensusConfig(4),
-                           random.Random(seed), 0, 50.0)
+        result = run_round(pool, ledger, net, random.Random(seed), 0, 50.0)
         assert result.decision.outcome == "committed"
 
 
@@ -307,7 +302,7 @@ def delay_node_chain(net, seed, n_pools=20):
     """The chain a 4-validator engine commits over `n_pools` pools, and the
     signers of each committed block."""
     ledger = make_ledger()
-    engine = ConsensusEngine(ConsensusConfig(4, rng_seed=seed), net)
+    engine = ConsensusEngine(net, random.Random(seed))
     signers = []
     now = 0.0
     for i in range(n_pools):
@@ -327,8 +322,7 @@ def test_delay_node_tolerated():
     net = NetworkModel(byzantine={slow: Behavior.DELAY})
     for seed in range(30):
         ledger = make_ledger()
-        result = run_round(make_pool(ledger), ledger, net, ConsensusConfig(4),
-                           random.Random(seed), 0, 0.0)
+        result = run_round(make_pool(ledger), ledger, net, random.Random(seed), 0, 0.0)
         assert result.decision.outcome == "committed"
         assert slow not in dict(result.block.signatures)
     ledger, signers = delay_node_chain(net, seed=2)
@@ -352,10 +346,9 @@ def test_two_byzantine_beyond_bound_needs_flag():
            VALIDATORS[3].address: Behavior.SILENT}
     with pytest.raises(UnsafeFaultConfig):
         run_round(make_pool(ledger), ledger, NetworkModel(byzantine=byz),
-                  ConsensusConfig(4), random.Random(0), 0, 0.0)
+                  random.Random(0), 0, 0.0)
     net = NetworkModel(byzantine=byz, unsafe_faults=True)
-    result = run_round(make_pool(ledger), ledger, net, ConsensusConfig(4),
-                       random.Random(0), 0, 0.0)
+    result = run_round(make_pool(ledger), ledger, net, random.Random(0), 0, 0.0)
     assert result.decision.outcome == "no_quorum"  # 2 votes can never reach 3
 
 
@@ -367,11 +360,10 @@ def test_commit_latency_matches_order_statistic_expectation():
     expected_ms = hi + lo + (hi - lo) * (q - 1) / n
     rng = random.Random(123)
     net = NetworkModel(lo, hi)
-    cfg = ConsensusConfig(n)
     samples = []
     for i in range(400):
         pool = make_pool(ledger, ts=float(i))
-        result = run_round(pool, ledger, net, cfg, rng, i, 0.0)
+        result = run_round(pool, ledger, net, rng, i, 0.0)
         assert result.decision.outcome == "committed"
         samples.append(result.commit_time * 1000.0)
     mean = sum(samples) / len(samples)
@@ -455,7 +447,7 @@ def test_random_rounds_match_pinned_digest():
                            drop_probability=params.choice([0.0, 0.05, 0.1, 0.3]),
                            byzantine=byz, unsafe_faults=unsafe)
         pool = make_pool(ledger, n=params.randint(1, 3), ts=params.uniform(0, 100))
-        r = run_round(pool, ledger, net, ConsensusConfig(n), net_rng,
+        r = run_round(pool, ledger, net, net_rng,
                       round_no=params.randrange(64), start_time=params.uniform(0, 500))
         assert len(r.fork_hashes) <= 1
         d = r.decision

@@ -62,8 +62,12 @@ def bootstrap(market, grants_cap="150.00", initial_pool=None, users=USERS):
     ledger = create_genesis(list(users) + [MARKET_NODE, RETIREMENT_NODE,
                                            ISSUER_NODE, OPERATOR_NODE],
                             VALIDATORS, txs)
-    market.record_committed(txs)
     return ledger
+
+
+def committed(ledger, kind):
+    """The sum of the chain's committed transactions of `kind`."""
+    return total(tx.amount for block in ledger.chain for tx in block.txs if tx.kind is kind)
 
 
 # --- cap computation and allocation ---
@@ -103,7 +107,7 @@ def test_allocation_exactness(cap_centi, n_users):
 
 
 def test_allocate_builds_one_tx_per_user():
-    market = Market(PRICE)
+    market = Market()
     txs = allocate([u.address for u in USERS], CapPolicy(cap=tok("100.00")),
                    market.address)
     assert len(txs) == 3
@@ -114,27 +118,26 @@ def test_allocate_builds_one_tx_per_user():
 
 def test_allocate_rejects_empty_population():
     with pytest.raises(EmptyPopulation):
-        allocate([], CapPolicy(cap=tok("1.00")), Market(PRICE).address)
+        allocate([], CapPolicy(cap=tok("1.00")), Market().address)
 
 
 # --- settlement ---
 
 
 def test_settlement_with_sufficient_balance():
-    market = Market(PRICE)
+    market = Market()
     ledger = bootstrap(market, "1481.37")  # 493.79 each
     txs = market.settle_trip(USERS[0].address, tok("206.00"), ledger, now=3600.0,
                              description="trip:t1")
     assert len(txs) == 1
     assert txs[0].kind is TxKind.TRIP_PAYMENT
     ledger = commit(ledger, txs)
-    market.record_committed(txs)
     assert ledger.balance(USERS[0].address) == tok("287.79")
-    assert market.retired == tok("206.00")
+    assert committed(ledger, TxKind.TRIP_PAYMENT) == tok("206.00")
 
 
 def test_settlement_with_deficit_buys_shortfall():
-    market = Market(PRICE)
+    market = Market()
     # artificial cap well below the trip cost, so the pool is set explicitly
     ledger = bootstrap(market, "30.00", initial_pool=tok("1000.00"))  # 10.00 each
     txs = market.settle_trip(USERS[0].address, tok("55.24"), ledger, now=3600.0,
@@ -144,15 +147,14 @@ def test_settlement_with_deficit_buys_shortfall():
     assert txs[1].amount == tok("55.24")
     assert txs[0].timestamp < txs[1].timestamp  # purchase lands first in-block
     ledger = commit(ledger, txs)
-    market.record_committed(txs)
     assert ledger.balance(USERS[0].address) == TokenAmount.zero()
     # net position: grant 10.00 - cost 55.24
     assert tok("10.00") - tok("55.24") == tok("-45.24")
-    assert market.purchased == tok("45.24")
+    assert committed(ledger, TxKind.PURCHASE) == tok("45.24")
 
 
 def test_zero_cost_settles_without_transactions():
-    market = Market(PRICE)
+    market = Market()
     ledger = bootstrap(market)
     assert market.settle_trip(USERS[0].address, TokenAmount.zero(), ledger, 0.0) == []
 
@@ -162,7 +164,7 @@ def test_zero_cost_settles_without_transactions():
        st.integers(min_value=0, max_value=100_000))
 def test_settlement_identity(balance_centi, cost_centi):
     # balance_after == max(0, before - cost); purchase == max(0, cost - before)
-    market = Market(PRICE)
+    market = Market()
     user = NodeIdentity("solo", Role.USER)
     policy = CapPolicy(cap=TokenAmount(balance_centi))
     txs = market.genesis_transactions([user.address], policy,
@@ -183,7 +185,7 @@ def test_settlement_identity(balance_centi, cost_centi):
 
 
 def test_pool_exhaustion_detected():
-    market = Market(PRICE)
+    market = Market()
     ledger = bootstrap(market, "30.00", initial_pool=tok("5.00"))
     with pytest.raises(MarketPoolExhausted):
         market.settle_trip(USERS[0].address, tok("100.00"), ledger, 0.0,
@@ -194,26 +196,25 @@ def test_pool_exhaustion_detected():
 
 
 def test_sell_whole_surplus():
-    market = Market(PRICE)
+    market = Market()
     ledger = bootstrap(market, "1137.12")  # 379.04 each
     pool_before = market.pool(ledger)
     tx = market.sell_surplus(USERS[0].address, tok("379.04"), ledger, now=86_000.0)
     ledger = commit(ledger, [tx])
-    market.record_committed([tx])
     assert ledger.balance(USERS[0].address) == TokenAmount.zero()
     assert market.pool(ledger) == pool_before + tok("379.04")
-    assert market.sales_cad == tok("379.04").to_cad()
+    assert committed(ledger, TxKind.SALE) == tok("379.04")
 
 
 def test_sell_zero_rejected():
-    market = Market(PRICE)
+    market = Market()
     ledger = bootstrap(market)
     with pytest.raises(ValueError):
         market.sell_surplus(USERS[0].address, TokenAmount.zero(), ledger, 0.0)
 
 
 def test_sell_more_than_balance_rejected():
-    market = Market(PRICE)
+    market = Market()
     ledger = bootstrap(market, "30.00")
     with pytest.raises(InsufficientTokens):
         market.sell_surplus(USERS[0].address, tok("11.00"), ledger, 0.0)
@@ -221,19 +222,17 @@ def test_sell_more_than_balance_rejected():
 
 def test_sale_replenishes_pool_for_later_purchase():
     # pool-balance oracle across a three-step script with a tiny pool
-    market = Market(PRICE)
+    market = Market()
     ledger = bootstrap(market, "60.00", initial_pool=tok("1.00"))  # 20.00 each
     # user-1 sells 15.00 into the pool
     sale = market.sell_surplus(USERS[1].address, tok("15.00"), ledger, 1.0)
     ledger = commit(ledger, [sale])
-    market.record_committed([sale])
     assert market.pool(ledger) == tok("16.00")
     # user-0 then needs a 12.00 purchase the original pool could not cover
     txs = market.settle_trip(USERS[0].address, tok("32.00"), ledger, 2.0,
                              description="trip:t2")
     assert txs[0].kind is TxKind.PURCHASE and txs[0].amount == tok("12.00")
     ledger = commit(ledger, txs)
-    market.record_committed(txs)
     assert market.pool(ledger) == tok("4.00")  # 16 - 12
 
 
@@ -249,27 +248,19 @@ PER_SEAT = trip_cost(bus_trip(), TABLE, BUS, PRICE)[1]
 
 
 def test_full_bus_costs_operator_nothing():
-    market = Market(PRICE)
-    policy = BusChargingPolicy(seats_per_bus=50.55, operator_pays_remainder=True)
+    market = Market()
     ledger = bootstrap(market, "100.00")
-    assert market.operator_settlement(bus_trip(), 50.55, PER_SEAT, policy, ledger, 0.0) is None
+    assert market.operator_settlement(bus_trip(), 50.55, PER_SEAT, BUS, ledger, 0.0) is None
 
 
 def test_operator_pays_for_empty_seats():
-    market = Market(PRICE)
-    policy = BusChargingPolicy(seats_per_bus=50.55, operator_pays_remainder=True)
+    market = Market()
     ledger = bootstrap(market, "100.00", initial_pool=tok("2000.00"))
-    tx = market.operator_settlement(bus_trip(), 30.0, PER_SEAT, policy, ledger, 0.0)
+    tx = market.operator_settlement(bus_trip(), 30.0, PER_SEAT, BUS, ledger, 0.0)
     # 20.55 empty seats x 47.00 tokens
     assert tx is not None and tx.amount == tok("965.85")
     assert tx.kind is TxKind.OPERATOR_SETTLEMENT
     assert "operator" in tx.description and "trip:b1" in tx.description
-
-
-def test_operator_settlement_disabled_by_default():
-    market = Market(PRICE)
-    ledger = bootstrap(market, "100.00")
-    assert market.operator_settlement(bus_trip(), 30.0, PER_SEAT, BUS, ledger, 0.0) is None
 
 
 # --- cap accounting ---
@@ -277,21 +268,19 @@ def test_operator_settlement_disabled_by_default():
 
 def test_cap_accounting_identity_after_a_scripted_day():
     # sum(payments) + sum(leftovers) + sum(sold) == cap + sum(purchases)
-    market = Market(PRICE)
+    market = Market()
     ledger = bootstrap(market, "90.00")  # 30.00 each
     script = [
         market.settle_trip(USERS[0].address, tok("12.00"), ledger, 1.0, "trip:a"),
     ]
     ledger = commit(ledger, script[0])
-    market.record_committed(script[0])
     txs = market.settle_trip(USERS[1].address, tok("44.00"), ledger, 2.0, "trip:b")
     ledger = commit(ledger, txs)
-    market.record_committed(txs)
     sale = market.sell_surplus(USERS[2].address, tok("30.00"), ledger, 3.0)
     ledger = commit(ledger, [sale])
-    market.record_committed([sale])
 
     cap = tok("90.00")
-    payments = market.retired
+    payments = committed(ledger, TxKind.TRIP_PAYMENT)
     leftovers = total(ledger.balance(u.address) for u in USERS)
-    assert payments + leftovers + market.sold == cap + market.purchased
+    sold, purchased = committed(ledger, TxKind.SALE), committed(ledger, TxKind.PURCHASE)
+    assert payments + leftovers + sold == cap + purchased

@@ -5,6 +5,8 @@ import csv
 import hashlib
 import io
 import json
+from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -12,6 +14,7 @@ from carbonledger.cli import main as cli_main
 from carbonledger.emissions import Mode
 from carbonledger.ledger import (TxKind, _tx_from_obj, export_chain, validate_stateless,
                                  verify_chain)
+from carbonledger.market import Market
 from carbonledger.population import load_profile, write_population, generate_synthetic
 from carbonledger.simulator import (
     MetricsReport,
@@ -22,7 +25,7 @@ from carbonledger.simulator import (
     collect_metrics,
     run,
 )
-from carbonledger.tokens import TokenAmount
+from carbonledger.tokens import TokenAmount, total
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -82,8 +85,8 @@ def test_conservation_wallets_retired_pool_equals_minted(day):
     ledger = day.ledger
     assert sum(ledger.balances.values()) == ledger.minted_centi
     user_total = sum(ledger.balance(a).centi for a in day.user_addresses.values())
-    pool = day.market.pool(ledger).centi
-    retired = ledger.balance(day.market.retirement_address).centi
+    pool = ledger.balance(Market.address).centi
+    retired = ledger.balance(Market.retirement_address).centi
     assert user_total + pool + retired == ledger.minted_centi
 
 
@@ -166,7 +169,7 @@ def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):
                       for row in csv.DictReader(fh))
     assert charged == paid
     # ... which, with the operator payments, are what was retired
-    retired = result.ledger.balance(result.market.retirement_address).centi
+    retired = result.ledger.balance(Market.retirement_address).centi
     assert paid + operator == retired
 
     # the costly trips left unpaid are exactly the failed pools' trips: each
@@ -186,7 +189,7 @@ def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):
     unpaid = [t for t in result.trips if result.trip_costs[t.trip_id][1].centi > 0
               and result.trip_payments[t.trip_id].centi == 0]
     assert pools and len(pools) == len(unpaid) == len(payments)
-    retirement = result.market.retirement_address
+    retirement = Market.retirement_address
     for t in unpaid:
         tx = payments[_settlement_description(t)]
         assert (tx.sender, tx.receiver, tx.amount) == (
@@ -228,11 +231,19 @@ def test_all_walk_day_settles_nothing(tmp_path):
 
 
 def test_operator_settlements_appear_when_enabled():
-    result = run(small_config(operator_pays_remainder=True, synthetic_users=60, seed=3))
-    kinds = [tx.kind for block in result.ledger.chain for tx in block.txs]
-    has_bus = any(t.mode in (Mode.BUS, Mode.SCHOOL_BUS) for t in result.trips)
-    if has_bus:
-        assert TxKind.OPERATOR_SETTLEMENT in kinds
+    for enabled in (False, True):
+        result = run(small_config(operator_pays_remainder=enabled, synthetic_users=60, seed=3))
+        kinds = [tx.kind for block in result.ledger.chain for tx in block.txs]
+        assert any(t.mode in (Mode.BUS, Mode.SCHOOL_BUS) for t in result.trips)
+        assert (TxKind.OPERATOR_SETTLEMENT in kinds) == enabled
+
+
+def test_cap_tokens_sets_the_granted_cap(day):
+    cap = day.cap * 2
+    result = run(small_config(cap_tokens=str(cap)))
+    assert result.cap == cap
+    assert total(result.grants.values()) == cap
+    assert verify_chain(result.ledger).ok
 
 
 def test_batching_window_reduces_blocks():
@@ -265,7 +276,7 @@ def test_metrics_hand_computed_latency(day):
         cap=TokenAmount.zero(),
         latencies_ms=[30.0, 40.0, 40.0, 38.0], submitted=4, committed=4,
         tx_per_minute=[0] * 1440, consensus_trace=[], equivocations=[],
-        failed_pools=[], rejects=[], market=day.market,
+        failed_pools=[], rejects=[],
     )
     report = collect_metrics(fake)
     assert report.latency_mean_ms == pytest.approx(37.0)
@@ -279,7 +290,7 @@ def test_metrics_empty_run_flags_not_applicable(day):
         cap=TokenAmount.zero(),
         latencies_ms=[], submitted=0, committed=0,
         tx_per_minute=[0] * 1440, consensus_trace=[], equivocations=[],
-        failed_pools=[], rejects=[], market=day.market,
+        failed_pools=[], rejects=[],
     )
     report = collect_metrics(fake)
     assert report.throughput is None
@@ -295,6 +306,14 @@ def test_config_round_trip_and_hash_stability():
     again = SimulationConfig.from_json(cfg.to_canonical_json())
     assert again == cfg
     assert again.config_hash() == cfg.config_hash()
+
+
+def test_readme_config_example_lists_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("`simulate -c day.json`", 1)[1].split("```json\n", 1)[1]
+    example = example.split("```", 1)[0]
+    assert list(json.loads(example)) == list(get_type_hints(SimulationConfig))
+    SimulationConfig.from_json(example)  # each value has its field's type
 
 
 def test_config_rejects_unknown_fields():
