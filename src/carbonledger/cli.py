@@ -86,13 +86,13 @@ def cmd_simulate(args) -> int:
 
 
 def _read_chain(path: str | Path) -> ledger_mod.Ledger:
-    """Import a ledger export; bytes that are not UTF-8 are malformed input
-    like any other."""
+    """Import a ledger export line by line; bytes that are not UTF-8, wherever
+    they are in the file, are malformed input like any other."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return ledger_mod.import_chain(fh)
     except UnicodeDecodeError as exc:
         raise ledger_mod.ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    return ledger_mod.import_chain(text)
 
 
 def _load_run_dir(run_dir: Path):

@@ -69,7 +69,7 @@ from .population import (
     load_profile,
     write_population,
 )
-from .tokens import TokenAmount, total
+from .tokens import TokenAmount, TokenValueError, total
 
 MINUTES_PER_DAY = 1440
 
@@ -238,16 +238,30 @@ def trip_payments(user_addresses: Mapping[str, str], trips: Sequence[TripRecord]
             for t in trips}
 
 
+def _config_tokens(config: SimulationConfig, name: str) -> Optional[TokenAmount]:
+    """A token field of the config, which must be written as the ledger
+    export writes amounts and must not be negative."""
+    value = getattr(config, name)
+    if value is None:
+        return None
+    try:
+        amount = TokenAmount.parse(value)
+    except TokenValueError as exc:
+        raise ValueError(f"config field {name!r} must be a token amount "
+                         f"such as '12.34', got {value!r}") from exc
+    if amount.centi < 0:
+        raise ValueError(f"config field {name!r} must not be negative, got {value!r}")
+    return amount
+
+
 def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> SimulationResult:
     """Replay one simulated day; aborts export a partial ledger for autopsy."""
     for name in ("n_active_nodes", "max_round_retries", "batch_window"):
         if getattr(config, name) < 1:
             raise ValueError(f"config field {name!r} must be at least 1, "
                              f"got {getattr(config, name)}")
-    for name in ("cap_tokens", "initial_pool_tokens"):
-        value = getattr(config, name)
-        if value is not None and TokenAmount.from_tokens(value).centi < 0:
-            raise ValueError(f"config field {name!r} must not be negative, got {value!r}")
+    cap_given, pool_given = (_config_tokens(config, name)
+                             for name in ("cap_tokens", "initial_pool_tokens"))
     if bool(config.persons_file) != bool(config.trips_file):
         given, missing = (("persons_file", "trips_file") if config.persons_file
                           else ("trips_file", "persons_file"))
@@ -272,11 +286,10 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     price = PricePolicy(config.price_cad_per_tonne)
     bus_policy = BusChargingPolicy(config.seats_per_bus)
     trip_costs = {t.trip_id: trip_cost(t, table, bus_policy, price) for t in trips}
-    cap_policy = (compute_cap(trip_costs) if config.cap_tokens is None
-                  else CapPolicy(cap=TokenAmount.from_tokens(config.cap_tokens)))
+    cap_policy = compute_cap(trip_costs) if cap_given is None else CapPolicy(cap=cap_given)
     cap = cap_policy.cap
-    if config.initial_pool_tokens is not None:
-        initial_pool = TokenAmount.from_tokens(config.initial_pool_tokens)
+    if pool_given is not None:
+        initial_pool = pool_given
     elif config.operator_pays_remainder:
         # user purchases total at most the cap; the operator also draws every
         # bus trip's empty seats
@@ -375,7 +388,8 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     except Exception:
         if out_path is not None:
             out_path.mkdir(parents=True, exist_ok=True)
-            (out_path / "ledger.partial.ndjson").write_text(export_chain(ledger))
+            with open(out_path / "ledger.partial.ndjson", "w", encoding="utf-8") as fh:
+                export_chain(ledger, fh)
         raise
 
     result = SimulationResult(
@@ -435,7 +449,8 @@ def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
     hashes the report inputs."""
     out = Path(out_dir)
     (out / "population").mkdir(parents=True, exist_ok=True)
-    (out / "ledger.ndjson").write_text(export_chain(result.ledger))
+    with open(out / "ledger.ndjson", "w", encoding="utf-8") as fh:
+        export_chain(result.ledger, fh)
     (out / "wallets.csv").write_text(export_wallets(result.ledger))
     (out / "metrics.json").write_text(collect_metrics(result).to_json() + "\n")
     (out / "consensus_trace.csv").write_text(export_trace(result.consensus_trace))

@@ -9,6 +9,7 @@ rounding; everything downstream is integer arithmetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 
@@ -16,6 +17,10 @@ CENTI_PER_TOKEN = 100
 TOKENS_PER_CAD = 10_000
 
 _TOKEN_QUANT = Decimal("0.01")
+
+# what `str` writes for an amount `from_tokens` can read (at most 26 whole
+# digits), and "-0.00", which `str` never writes
+_TOKEN_TEXT = re.compile(r"-?(?:0|[1-9][0-9]{0,25})\.[0-9]{2}")
 
 
 class TokenValueError(ValueError):
@@ -39,6 +44,18 @@ class TokenAmount:
         except InvalidOperation as exc:
             raise TokenValueError(f"not a token quantity: {value!r}") from exc
         return cls(int(dec * CENTI_PER_TOKEN))
+
+    @classmethod
+    def parse(cls, text: str) -> "TokenAmount":
+        """The amount that `str` renders as exactly `text`.
+
+        For text written by a program (ledger exports, config files): any
+        other spelling of an amount, such as "1e3", "5.005", "+1.00" or
+        "1.0", raises `TokenValueError` instead of being rounded.
+        """
+        if not _TOKEN_TEXT.fullmatch(text) or text == "-0.00":
+            raise TokenValueError(f"not a two-decimal token amount: {text!r}")
+        return cls(int(text.replace(".", "")))
 
     @classmethod
     def from_cad(cls, cad) -> "TokenAmount":

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, machine-readable errors."""
 
+import io
 import json
 from importlib import resources
 
@@ -58,6 +59,10 @@ def test_simulate_missing_trips_file_exits_2_with_json(tmp_path, capsys):
     ({"cap_mode": "explicit"}, "cap_mode"),
     ({"persons_file": "persons.csv"}, "field 'trips_file'"),
     ({"trips_file": "trips.csv"}, "field 'persons_file'"),
+    # token fields are written as the ledger export writes amounts
+    ({"cap_tokens": "5.005", "synthetic_users": 5}, "cap_tokens"),
+    ({"cap_tokens": "1e3", "synthetic_users": 5}, "cap_tokens"),
+    ({"initial_pool_tokens": "abc", "synthetic_users": 5}, "initial_pool_tokens"),
 ])
 def test_simulate_mistyped_config_exits_2(tmp_path, capsys, config, named):
     path = tmp_path / "day.json"
@@ -94,6 +99,11 @@ def test_simulate_market_error_exits_2_with_json(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "-c", str(cfg))
     assert code == 2
     assert json.loads(err.strip())["error"] == "MarketPoolExhausted"
+    # the chain committed before the abort is dumped, and it verifies
+    partial = tmp_path / "out" / "ledger.partial.ndjson"
+    assert partial.exists()
+    code, out, _ = run_cli(capsys, "verify", str(partial))
+    assert code == 0 and out.startswith("ok:")
 
 
 def test_operator_pays_remainder_completes_a_day(tmp_path, capsys):
@@ -226,6 +236,35 @@ def test_non_utf8_ledger_file_exits_2(tmp_path, capsys, command):
     code, _, err = run_cli(capsys, command, str(bad))
     assert code == 2
     assert json.loads(err.strip())["error"] == "ParseError"
+
+
+def test_non_utf8_bytes_deep_in_a_ledger_file_exit_2(tmp_path, capsys):
+    # the file is read in buffer-sized chunks, so the bad bytes are decoded
+    # only after many good lines have been parsed
+    run_cli(capsys, "simulate", "-c", str(base_config(tmp_path)))
+    bad = tmp_path / "out" / "ledger.ndjson"
+    good = bad.read_bytes()
+    assert len(good) > 4 * io.DEFAULT_BUFFER_SIZE
+    bad.write_bytes(good + b"\xff\n")
+    code, _, err = run_cli(capsys, "verify", str(bad))
+    assert code == 2
+    payload = json.loads(err.strip())
+    assert payload["error"] == "ParseError" and str(bad) in payload["detail"]
+
+
+def test_unicode_line_break_inside_a_string_splits_the_line(tmp_path, capsys):
+    # U+2028 is valid raw inside a JSON string, but it ends a line for
+    # `str.splitlines`, so the block's line is cut in two and fails to parse
+    run_cli(capsys, "simulate", "-c", str(base_config(tmp_path)))
+    ledger_file = tmp_path / "out" / "ledger.ndjson"
+    lines = ledger_file.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["txs"][0]["description"] += "\u2028"
+    lines[1] = json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
+    ledger_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "verify", str(ledger_file))
+    assert code == 2
+    assert json.loads(err.strip())["detail"].startswith("line 2: ")
 
 
 def retype_description(ledger_file):

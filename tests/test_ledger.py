@@ -1,6 +1,7 @@
 """Ledger: transactions, blocks, validation, folding, tamper evidence."""
 
 import dataclasses
+import io
 import json
 import random
 
@@ -53,6 +54,12 @@ SINK = NodeIdentity("sink", Role.MARKET)
 
 def tok(s) -> TokenAmount:
     return TokenAmount.from_tokens(s)
+
+
+def export_text(ledger: Ledger) -> str:
+    out = io.StringIO()
+    export_chain(ledger, out)
+    return out.getvalue()
 
 
 def fresh_ledger(alice_grant="493.79", bob_grant="493.79") -> Ledger:
@@ -253,7 +260,7 @@ def test_apply_is_pure_and_refold_matches():
     before = dict(ledger.balances)
     ledger2 = commit(ledger, [payment(ALICE.address, SINK.address, "10.00")])
     assert dict(ledger.balances) == before  # original untouched
-    refolded = import_chain(export_chain(ledger2))
+    refolded = import_chain(export_text(ledger2))
     assert refolded.balances == ledger2.balances
     assert refolded.minted_centi == ledger2.minted_centi
 
@@ -518,9 +525,9 @@ def test_history_unknown_address_raises():
 
 def test_export_import_round_trip():
     ledger = build_chain(5)
-    text = export_chain(ledger)
+    text = export_text(ledger)
     again = import_chain(text)
-    assert export_chain(again) == text
+    assert export_text(again) == text
     assert again.head.block_hash == ledger.head.block_hash
     # the genesis signature set recovers the validators (order is not carried)
     assert set(again.validators) == set(ledger.validators)
@@ -530,7 +537,7 @@ def test_export_import_round_trip():
 def import_with(tx_fields=None, **block_fields):
     """Import a genesis-only export whose first tx and whose block carry the
     given field values."""
-    obj = json.loads(export_chain(fresh_ledger()).splitlines()[0])
+    obj = json.loads(export_text(fresh_ledger()).splitlines()[0])
     obj["txs"][0].update(tx_fields or {})
     obj.update(block_fields)
     return import_chain(json.dumps(obj) + "\n")

@@ -5,15 +5,20 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
+import carbonledger
 from carbonledger.cli import main as cli_main
 from carbonledger.emissions import Mode
-from carbonledger.ledger import (TxKind, _tx_from_obj, export_chain, validate_stateless,
-                                 verify_chain)
+from carbonledger.ledger import (TxKind, _tx_from_obj, block_to_line, export_chain,
+                                 import_chain, validate_stateless, verify_chain)
 from carbonledger.market import Market
 from carbonledger.population import load_profile, write_population, generate_synthetic
 from carbonledger.simulator import (
@@ -115,7 +120,6 @@ def test_identical_config_identical_artifacts(tmp_path):
     b = run(small_config(), out_dir=tmp_path / "b")
     for name in ("ledger.ndjson", "wallets.csv", "consensus_trace.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    assert export_chain(a.ledger) == export_chain(b.ledger)
 
 
 # sha256 over each pinned day's artifact set: ledger.ndjson, wallets.csv,
@@ -137,20 +141,80 @@ GOLDEN_DAYS = {
 }
 
 
+def golden_set(run_dir: Path) -> list[Path]:
+    """The artifacts a golden digest covers, after `simulate` and `report`."""
+    paths = [run_dir / n for n in ("ledger.ndjson", "wallets.csv", "metrics.json",
+                                   "consensus_trace.csv")]
+    paths += sorted((run_dir / "reports").glob("*.csv"))
+    assert len(paths) == 20
+    return paths
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_DAYS))
 def test_pinned_seed_artifacts_match_golden_digest(name, tmp_path):
     overrides, expected = GOLDEN_DAYS[name]
     run(SimulationConfig(seed=7, **overrides), out_dir=tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(["report", str(tmp_path)]) == 0
-    paths = [tmp_path / n for n in ("ledger.ndjson", "wallets.csv", "metrics.json",
-                                    "consensus_trace.csv")]
-    paths += sorted((tmp_path / "reports").glob("*.csv"))
-    assert len(paths) == 20
     digest = hashlib.sha256()
-    for path in paths:
+    for path in golden_set(tmp_path):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     assert digest.hexdigest() == expected
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # each run is a fresh interpreter with its own str hash seed, so output
+    # that followed set or dict order of hashed keys would differ here
+    overrides, _ = GOLDEN_DAYS["7 validators, 10% drops, silent and equivocating nodes"]
+    cfg = tmp_path / "day.json"
+    cfg.write_text(json.dumps({"seed": 7, "synthetic_users": 40, **overrides}))
+    src = str(Path(carbonledger.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hashseed{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in (["simulate", "-c", str(cfg), "--out", str(out)], ["report", str(out)]):
+            subprocess.run([sys.executable, "-m", "carbonledger.cli", *argv],
+                           env=env, check=True, capture_output=True, timeout=120)
+        runs.append({path.name: path.read_bytes() for path in golden_set(out)})
+    assert runs[0] == runs[1]
+
+
+def test_streamed_export_is_its_block_lines_and_imports_as_its_text(tmp_path):
+    overrides, _ = GOLDEN_DAYS["7 validators, 10% drops, silent and equivocating nodes"]
+    result = run(SimulationConfig(seed=7, **overrides), out_dir=tmp_path)
+    path = tmp_path / "ledger.ndjson"
+    expected = "".join(block_to_line(b) + "\n" for b in result.ledger.chain)
+    assert path.read_bytes() == expected.encode()
+    with open(path, encoding="utf-8") as fh:
+        from_file = import_chain(fh)
+    assert from_file.chain == import_chain(expected).chain == result.ledger.chain
+    assert from_file.balances == result.ledger.balances
+
+
+def test_chain_files_are_streamed_one_block_at_a_time(tmp_path):
+    # neither side holds the whole export: writing allocates less than the
+    # file's size at its peak (the genesis line, one grant per user, is the
+    # largest block), and reading allocates little beyond the ledger it keeps
+    result = run(small_config(synthetic_users=1000))
+    path = tmp_path / "ledger.ndjson"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with open(path, "w", encoding="utf-8") as fh:
+            export_chain(result.ledger, fh)
+        export_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        with open(path, encoding="utf-8") as fh:
+            imported = import_chain(fh)
+        kept, import_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert export_peak < 1.0 * size
+    assert import_peak - kept < 0.25 * size
+    assert imported.chain == result.ledger.chain
 
 
 def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):

@@ -74,3 +74,42 @@ def test_decimal_round_trip(dec):
     token = TokenAmount.from_tokens(dec)
     assert token.to_decimal() == dec
     assert token.centi == int(dec * CENTI_PER_TOKEN)
+
+
+def round_trip(text: str):
+    """The amount `from_tokens` reads from `text` when `str` writes it back
+    as `text`, else None."""
+    try:
+        amount = TokenAmount.from_tokens(text)
+    except ValueError:
+        return None
+    return amount if str(amount) == text else None
+
+
+def check_parse(text: str) -> None:
+    expected = round_trip(text)
+    if expected is None:
+        with pytest.raises(TokenValueError):
+            TokenAmount.parse(text)
+    else:
+        assert TokenAmount.parse(text) == expected
+
+
+@pytest.mark.parametrize("text, written", [
+    ("0.00", True), ("-0.01", True), ("9" * 26 + ".99", True), ("-1" + "0" * 25 + ".00", True),
+    ("-0.00", False), ("00.00", False), ("1.0", False), ("1" + "0" * 26 + ".00", False),
+    ("1e3", False), ("5.005", False), ("NaN", False), ("+1.00", False), (" 1.00", False),
+    ("1.00\n", False), ("1_0.00", False), ("\u0661.\u0660\u0660", False),
+])
+def test_parse_edge_cases(text, written):
+    assert (round_trip(text) is not None) is written
+    check_parse(text)
+
+
+@given(st.one_of(
+    st.integers(min_value=-10**29, max_value=10**29).map(lambda c: str(TokenAmount(c))),
+    st.from_regex(r"[-+ ]?[0-9_]{1,28}(\.[0-9]{0,3})?\s?", fullmatch=True),
+    st.text(alphabet="0123456789.-+eE_ \n\u0660\u0661NaIinfty", max_size=12),
+))
+def test_parse_accepts_exactly_what_round_trips(text):
+    check_parse(text)
