@@ -9,8 +9,6 @@ from .tokens import TokenAmount
 from .ledger import (
     Block,
     Ledger,
-    NodeIdentity,
-    Role,
     TokenTransaction,
     TxKind,
     build_block,

@@ -36,14 +36,6 @@ class AnalyticsError(Exception):
     pass
 
 
-class UnknownDimension(AnalyticsError):
-    pass
-
-
-class UnknownBreakdown(AnalyticsError):
-    pass
-
-
 class IoFailure(AnalyticsError):
     pass
 
@@ -173,8 +165,6 @@ def leftovers_by(result: DayRecord, dimension: str,
     `stats` is `per_user_stats(result)`, computed here when not given; it is
     read, never written, so one computation can serve every dimension.
     """
-    if dimension not in _GROUPINGS:
-        raise UnknownDimension(dimension)
     labels, group_of = _GROUPINGS[dimension]
     if stats is None:
         stats = per_user_stats(result)
@@ -194,7 +184,7 @@ def leftovers_by(result: DayRecord, dimension: str,
 
 def trip_breakdown(result: DayRecord, breakdown: str) -> TripReport:
     if breakdown not in BREAKDOWNS:
-        raise UnknownBreakdown(breakdown)
+        raise KeyError(breakdown)
     paid = result.trip_payments
 
     if breakdown == "by_mode":

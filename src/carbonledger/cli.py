@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import analytics, consensus, emissions, ledger as ledger_mod, market, population, simulator
-from .market import MARKET_NODE
 from .tokens import TokenAmount
 
 EXIT_OK = 0
@@ -199,7 +198,7 @@ def cmd_inspect(args) -> int:
                 "blocks": len(chain.chain), "head": chain.head.block_hash,
                 "transactions": total_txs,
                 "minted_tokens": str(TokenAmount(chain.minted_centi)),
-                "market_pool": str(chain.balance(MARKET_NODE.address)),
+                "market_pool": str(chain.balance(market.MARKET_ADDRESS)),
             }))
     except (ledger_mod.UnknownAddress, IndexError, KeyError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)

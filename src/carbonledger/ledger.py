@@ -5,15 +5,17 @@ it.  Values are immutable: `apply_block` returns a new value and leaves the
 input as it was, so snapshots can be handed to readers freely while the
 single consensus commit path appends.
 
-The values derived with `apply_block` share one wallet map, tx index and
-block list, and the value derived last owns them, so a commit costs
-O(block) rather than O(wallets + height).  Each value keeps its parent and
-its head block.  Reading a value that does not own the shared state (one
-that has since been extended, or a sibling derived from the same parent)
-refolds its chain from its root with `fold_transaction` in O(height); the
-value then owns that fresh copy.  A root (from `create_genesis`,
-`import_chain` or the constructor) keeps the state it was given, and every
-refold starts from it.
+A root (from `create_genesis`, `import_chain` or the constructor) is only
+its blocks and its validator addresses: the first read of its balances, tx
+index or minted total folds its chain, and reading `chain`, `head` or
+`height` folds nothing.  The values derived with `apply_block` share one
+wallet map, tx index and block list, and the value derived last owns them,
+so a commit costs O(block) rather than O(wallets + height).  Each value
+keeps its parent and its head block.  Reading a value that does not own the
+shared state (one that has since been extended, or a sibling derived from
+the same parent) refolds its chain from its root's state in O(height); the
+value then owns that fresh copy.  A root's state is never written after its
+fold, so every refold starts from it.
 
 `balances` and `tx_index` are read-only views of the maps a value owns.  A
 view shows the value's state until that value is extended with
@@ -21,8 +23,8 @@ view shows the value's state until that value is extended with
 failed `apply_block` writes nothing.
 
 Wallet state is only ever changed by `fold_transaction`, which folds one
-transaction into a balance map: genesis, `apply_block`, `validate_pool`,
-`verify_chain`, `import_chain` and the simulator's pending batch all use
+transaction into a balance map: a root's first read, `apply_block`,
+`validate_pool`, `verify_chain` and the simulator's pending batch all use
 it.  It never refuses a transfer; each caller checks the sender's balance
 as it needs to (reject the transaction, raise, or report a violation).
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, TextIO
@@ -87,28 +89,6 @@ def quorum_size(n_active: int) -> int:
 def max_faulty(n_active: int) -> int:
     """floor((n-1)/3) — byzantine nodes tolerated without losing safety."""
     return (n_active - 1) // 3
-
-
-class Role(Enum):
-    USER = "user"
-    VEHICLE = "vehicle"
-    ACTIVE_VALIDATOR = "active_validator"
-    OPERATOR = "operator"
-    MARKET = "market"
-
-
-@dataclass(frozen=True)
-class NodeIdentity:
-    """A participant; the address derives from the node id, once, and the
-    role is fixed at registration."""
-
-    node_id: str
-    role: Role
-    metadata: Mapping[str, str] = field(default_factory=dict)
-    address: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "address", derive_address(self.node_id))
 
 
 class TxKind(Enum):
@@ -292,60 +272,60 @@ class ParseError(LedgerError):
 class Ledger:
     """Chain plus derived wallet state; values are immutable after commit.
 
-    The constructor makes a root, which copies its arguments and never
-    writes them again.  The values derived with `apply_block` share the
-    state owned by the one derived last; reading any other (superseded)
-    value refolds its chain from its root in O(height).  A `balances` or
-    `tx_index` view holds until its value is extended (see the module
-    docstring).
+    The constructor makes a root from a chain and its validator addresses;
+    the root folds its chain the first time its state is read.  The values
+    derived with `apply_block` share the state owned by the one derived
+    last; reading any other (superseded) value refolds its chain from its
+    root in O(height).  A `balances` or `tx_index` view holds until its
+    value is extended (see the module docstring).
     """
 
-    __slots__ = ("registry", "validators", "minted_centi", "_parent", "_head",
-                 "_balances", "_tx_index", "_blocks")
+    __slots__ = ("validators", "_parent", "_head", "_blocks", "_balances", "_tx_index",
+                 "_minted")
 
-    def __init__(
-        self,
-        chain: Sequence[Block],
-        balances: Mapping[str, int],
-        tx_index: Mapping[str, tuple[int, int]],
-        registry: dict[str, NodeIdentity],
-        validators: tuple[str, ...],
-        minted_centi: int,
-    ):
-        self.registry = registry
-        self.validators = validators
-        self.minted_centi = minted_centi
+    def __init__(self, chain: Sequence[Block], validators: Iterable[str]):
+        self.validators = tuple(validators)
         self._parent: Optional[Ledger] = None
         self._blocks = list(chain)
         self._head = self._blocks[-1] if self._blocks else None
-        self._balances = dict(balances)
-        self._tx_index = dict(tx_index)
+        self._balances: Optional[dict[str, int]] = None  # until the first read
 
     def _state(self) -> tuple[dict[str, int], dict[str, tuple[int, int]], list[Block]]:
-        """This value's wallet map, tx index and block list, refolded from
-        its root first unless it owns them.
+        """This value's wallet map, tx index and block list: a root folds its
+        chain on first read, and a derived value refolds from its root first
+        unless it owns them.
 
         Only the owner of shared state appends to it, and each append raises
         the height of its last block by one, so a derived value owns its
         structures exactly while its head is their last block.
         """
-        if self._parent is not None and self._blocks[-1] is not self._head:
+        if self._balances is None:
+            self._balances, self._tx_index, self._minted = _fold_blocks(self._blocks, {}, {})
+        elif self._parent is not None and self._blocks[-1] is not self._head:
             heads = []
             node = self
             while node._parent is not None:
                 heads.append(node._head)
                 node = node._parent
             heads.reverse()
+            balances, tx_index, blocks = node._state()
             self._balances, self._tx_index, _ = _fold_blocks(
-                heads, dict(node._balances), dict(node._tx_index))
-            self._blocks = node._blocks + heads
+                heads, dict(balances), dict(tx_index))
+            self._blocks = blocks + heads
         return self._balances, self._tx_index, self._blocks
 
     # -- introspection --
 
     @property
     def chain(self) -> tuple[Block, ...]:
-        return tuple(self._state()[2])
+        # an unread root's blocks are its chain, and they need no fold
+        return tuple(self._blocks if self._balances is None else self._state()[2])
+
+    @property
+    def minted_centi(self) -> int:
+        if self._balances is None:
+            self._state()
+        return self._minted
 
     @property
     def balances(self) -> Mapping[str, int]:
@@ -449,14 +429,14 @@ class Ledger:
         if sum(c - balances.get(a, 0) for a, c in written.items()) != minted:
             raise LedgerError("token conservation broken after block "
                               f"{block.height}: wallets != minted")
-        if self._parent is None:  # a root keeps the state it was given
+        if self._parent is None:  # a root's state is never written after its fold
             balances, tx_index, blocks = dict(balances), dict(tx_index), list(blocks)
         balances.update(written)
         tx_index.update(indexed)
         blocks.append(block)
         new = Ledger.__new__(Ledger)
-        new.registry, new.validators = self.registry, self.validators
-        new.minted_centi = self.minted_centi + minted
+        new.validators = self.validators
+        new._minted = self._minted + minted
         new._parent, new._head = self, block
         new._balances, new._tx_index, new._blocks = balances, tx_index, blocks
         return new
@@ -464,10 +444,11 @@ class Ledger:
     # -- queries --
 
     def query_history(self, owner: str) -> list[TokenTransaction]:
-        """All committed transactions touching `owner`, chronological."""
+        """All committed transactions touching `owner`, chronological; an
+        address no transaction touches is unknown."""
         out = [tx for block in self.chain for tx in block.txs
                if tx.sender == owner or tx.receiver == owner]
-        if not out and owner not in self.registry:
+        if not out:
             raise UnknownAddress(owner)
         return out
 
@@ -534,28 +515,15 @@ def build_block(
     )
 
 
-def create_genesis(
-    identities: Iterable[NodeIdentity],
-    validators: Sequence[NodeIdentity],
-    allocation_txs: Sequence[TokenTransaction],
-) -> Ledger:
+def create_genesis(validators: Sequence[str],
+                   allocation_txs: Sequence[TokenTransaction]) -> Ledger:
     """Chain bootstrap: one genesis block holding the day's allocations,
-    signed by every validator."""
-    registry = {ident.address: ident for ident in identities}
-    for v in validators:
-        registry.setdefault(v.address, v)
+    created by the first validator address and signed by every one."""
     txs = tuple(sorted(allocation_txs, key=lambda tx: (tx.timestamp, tx.tx_id)))
-    creator = validators[0].address
-    block_hash = compute_block_hash(0, GENESIS_PREV_HASH, txs, creator)
-    sigs = tuple(
-        sorted((v.address, block_attestation(v.address, block_hash)) for v in validators)
-    )
-    genesis = Block(0, GENESIS_PREV_HASH, txs, creator, block_hash, sigs)
-    balances, tx_index, minted = _fold_blocks((genesis,), {}, {})
-    return Ledger(
-        (genesis,), balances, tx_index, registry,
-        tuple(v.address for v in validators), minted,
-    )
+    block_hash = compute_block_hash(0, GENESIS_PREV_HASH, txs, validators[0])
+    sigs = tuple(sorted((v, block_attestation(v, block_hash)) for v in validators))
+    return Ledger((Block(0, GENESIS_PREV_HASH, txs, validators[0], block_hash, sigs),),
+                  validators)
 
 
 # --- verification -----------------------------------------------------------
@@ -579,13 +547,17 @@ class VerificationReport:
 
 def verify_chain(ledger: Ledger) -> VerificationReport:
     """Walk genesis to head recomputing every hash, link, attestation and the
-    full wallet fold.  Violations are report entries, never exceptions."""
+    full wallet fold.  Violations are report entries, never exceptions.
+
+    The fold is compared with the stored state only on a value `apply_block`
+    derived: a root's state is its chain's fold by construction.
+    """
     found: list[Violation] = []
     chain = ledger.chain
     if not chain:
         return VerificationReport((Violation(0, "empty_chain", "no genesis block"),))
 
-    validators = ledger.validators or tuple(a for a, _ in chain[0].signatures)
+    validators = ledger.validators
     quorum = quorum_size(len(validators)) if validators else 1
 
     balances: dict[str, int] = {}
@@ -647,11 +619,12 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
     if sum(balances.values()) != minted:
         found.append(Violation(len(chain) - 1, "conservation_broken",
                                "wallet total differs from minted total"))
-    refolded = {a: c for a, c in balances.items() if c != 0}
-    stored = {a: c for a, c in ledger.balances.items() if c != 0}
-    if refolded != stored:
-        found.append(Violation(len(chain) - 1, "state_mismatch",
-                               "stored wallet snapshot differs from re-fold"))
+    if ledger._parent is not None:
+        refolded = {a: c for a, c in balances.items() if c != 0}
+        stored = {a: c for a, c in ledger.balances.items() if c != 0}
+        if refolded != stored:
+            found.append(Violation(len(chain) - 1, "state_mismatch",
+                                   "stored wallet snapshot differs from re-fold"))
     return VerificationReport(tuple(found))
 
 
@@ -729,7 +702,8 @@ def import_chain(source: str | TextIO) -> Ledger:
     in a file as they do in a string.  Parsing checks shape and field types
     only: hashes and balances are *not* enforced here, so a tampered file
     imports fine and `verify_chain` does the detecting.  The validator set is
-    recovered from the genesis signatures.
+    recovered from the genesis signatures, and the root folds its chain only
+    when its state is first read.
     """
     lines = (source.splitlines() if isinstance(source, str)
              else (line for physical in source for line in physical.splitlines()))
@@ -763,9 +737,7 @@ def import_chain(source: str | TextIO) -> Ledger:
     if not blocks:
         raise ParseError("no blocks in export")
 
-    validators = tuple(a for a, _ in blocks[0].signatures)
-    balances, tx_index, minted = _fold_blocks(blocks, {}, {})
-    return Ledger(tuple(blocks), balances, tx_index, {}, validators, minted)
+    return Ledger(blocks, (a for a, _ in blocks[0].signatures))
 
 
 def export_wallets(ledger: Ledger) -> str:

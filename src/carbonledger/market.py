@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .emissions import BusChargingPolicy, TripRecord, PER_SEAT_MODES
-from .ledger import Ledger, NodeIdentity, Role, TokenTransaction, TxKind, make_transaction
+from .ledger import Ledger, TokenTransaction, TxKind, derive_address, make_transaction
 from .tokens import TokenAmount, total
 
 # a trip payment is booked this long after its bundled purchase so the
@@ -86,11 +86,10 @@ def allocate(user_addresses: Sequence[str], policy: CapPolicy,
     return txs
 
 
-MARKET_NODE = NodeIdentity("market", Role.MARKET, {"purpose": "token pool"})
-RETIREMENT_NODE = NodeIdentity("retirement", Role.MARKET,
-                               {"purpose": "retired trip payments"})
-ISSUER_NODE = NodeIdentity("issuer", Role.MARKET, {"purpose": "genesis issuance"})
-OPERATOR_NODE = NodeIdentity("transit-operator", Role.OPERATOR, {})
+MARKET_ADDRESS = derive_address("market")  # the token pool
+RETIREMENT_ADDRESS = derive_address("retirement")  # retired trip payments
+ISSUER_ADDRESS = derive_address("issuer")  # genesis issuance of the pool
+OPERATOR_ID = "transit-operator"  # named in operator settlement descriptions
 
 
 class Market:
@@ -100,10 +99,6 @@ class Market:
     ledger it is given, and it only builds transactions, which change
     anything once a block commits them.
     """
-
-    address = MARKET_NODE.address
-    retirement_address = RETIREMENT_NODE.address
-    issuer_address = ISSUER_NODE.address
 
     # -- genesis --
 
@@ -116,11 +111,11 @@ class Market:
         total deficit purchases, and is issued to the market wallet so the
         whole money supply is on-chain.
         """
-        txs = allocate(user_addresses, policy, self.address)
+        txs = allocate(user_addresses, policy, MARKET_ADDRESS)
         pool = policy.cap if initial_pool is None else initial_pool
         if pool.centi > 0:
             txs.append(make_transaction(
-                0.0, self.issuer_address, self.address, pool, TxKind.ALLOCATION,
+                0.0, ISSUER_ADDRESS, MARKET_ADDRESS, pool, TxKind.ALLOCATION,
                 description="market pool reserve",
             ))
         return txs
@@ -128,7 +123,7 @@ class Market:
     # -- pool view --
 
     def pool(self, ledger: Ledger) -> TokenAmount:
-        return ledger.balance(self.address)
+        return ledger.balance(MARKET_ADDRESS)
 
     # -- operations --
 
@@ -149,11 +144,11 @@ class Market:
                     f"pool {self.pool(ledger)} cannot cover {shortfall}"
                 )
             txs.append(make_transaction(
-                now, self.address, user_address, shortfall, TxKind.PURCHASE,
+                now, MARKET_ADDRESS, user_address, shortfall, TxKind.PURCHASE,
                 description=description or "deficit purchase",
             ))
         txs.append(make_transaction(
-            now + SETTLEMENT_EPSILON_S, user_address, self.retirement_address,
+            now + SETTLEMENT_EPSILON_S, user_address, RETIREMENT_ADDRESS,
             cost, TxKind.TRIP_PAYMENT, description=description or "trip:unknown",
         ))
         return txs
@@ -167,7 +162,7 @@ class Market:
             raise InsufficientTokens(
                 f"balance {ledger.balance(user_address)} < {amount}"
             )
-        return make_transaction(now, user_address, self.address, amount,
+        return make_transaction(now, user_address, MARKET_ADDRESS, amount,
                                 TxKind.SALE, description="surplus sale")
 
     def operator_settlement(self, trip: TripRecord, occupied_seats: float,
@@ -187,8 +182,8 @@ class Market:
         if self.pool(ledger) < amount:
             raise MarketPoolExhausted(f"pool cannot cover operator remainder {amount}")
         return make_transaction(
-            now, self.address, self.retirement_address, amount,
+            now, MARKET_ADDRESS, RETIREMENT_ADDRESS, amount,
             TxKind.OPERATOR_SETTLEMENT,
-            description=f"trip:{trip.trip_id};operator:{OPERATOR_NODE.node_id};"
+            description=f"trip:{trip.trip_id};operator:{OPERATOR_ID};"
                         f"seats:{remainder:.2f}",
         )

@@ -40,24 +40,19 @@ from .emissions import (
 from .ledger import (
     HASH_ALGORITHM,
     Ledger,
-    NodeIdentity,
     Overlay,
-    Role,
     TokenTransaction,
     TxKind,
     _tx_to_obj,
     create_genesis,
+    derive_address,
     export_chain,
     export_wallets,
     fold_transaction,
 )
 from .market import (
     CapPolicy,
-    ISSUER_NODE,
     Market,
-    MARKET_NODE,
-    OPERATOR_NODE,
-    RETIREMENT_NODE,
     compute_cap,
     operator_remainder,
 )
@@ -299,18 +294,15 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     else:
         initial_pool = None
 
-    # identities and genesis
-    users = [NodeIdentity(p.user_id, Role.USER) for p in persons]
-    validators = [NodeIdentity(f"validator-{i}", Role.ACTIVE_VALIDATOR)
-                  for i in range(config.n_active_nodes)]
-    identities = users + [MARKET_NODE, RETIREMENT_NODE, ISSUER_NODE, OPERATOR_NODE]
+    # addresses and genesis
+    user_addresses = {p.user_id: derive_address(p.user_id) for p in persons}
+    validators = [derive_address(f"validator-{i}") for i in range(config.n_active_nodes)]
     market = Market()
     genesis_txs = market.genesis_transactions(
-        [u.address for u in users], cap_policy, initial_pool
+        list(user_addresses.values()), cap_policy, initial_pool
     )
-    ledger = create_genesis(identities, validators, genesis_txs)
+    ledger = create_genesis(validators, genesis_txs)
 
-    user_addresses = {p.user_id: u.address for p, u in zip(persons, users)}
     grants = genesis_grants(user_addresses, ledger.chain[0].txs)
 
     # consensus
@@ -318,7 +310,7 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     for index, behavior in config.byzantine:
         if not 0 <= index < len(validators):
             raise ValueError(f"byzantine index {index} out of range")
-        byz[validators[index].address] = Behavior(behavior)
+        byz[validators[index]] = Behavior(behavior)
     network = NetworkModel(
         delay_ms_low=config.delays_ms[0],
         delay_ms_high=config.delays_ms[1],

@@ -20,16 +20,15 @@ from carbonledger.consensus import (
     NetworkModel,
 )
 from carbonledger.ledger import (
-    NodeIdentity,
-    Role,
     TxKind,
     block_attestation,
     build_block,
     create_genesis,
+    derive_address,
     make_transaction,
     verify_chain,
 )
-from carbonledger.market import CapPolicy, allocate, Market
+from carbonledger.market import MARKET_ADDRESS, RETIREMENT_ADDRESS, CapPolicy, allocate
 from carbonledger.emissions import PricePolicy, tokens_for_emissions
 from carbonledger.population import load_profile
 from carbonledger.simulator import SimulationConfig, collect_metrics, run
@@ -58,7 +57,7 @@ def test_criterion_01_cap_arithmetic():
     assert str(cap) == "1573708.73"
 
     users = [f"{i:040x}" for i in range(n_users)]
-    txs = allocate(users, CapPolicy(cap=cap), Market.address)
+    txs = allocate(users, CapPolicy(cap=cap), MARKET_ADDRESS)
     assert len(txs) == n_users
     assert all(tx.amount == grant for tx in txs)
     total = TokenAmount(sum(tx.amount.centi for tx in txs))
@@ -79,28 +78,27 @@ def test_criterion_02_conversion_anchor():
 
 def test_criterion_03_consensus_safety():
     t0 = time.monotonic()
-    users = [NodeIdentity(f"user-{i}", Role.USER) for i in range(3)]
-    mint = NodeIdentity("mint", Role.MARKET)
-    sink = NodeIdentity("sink", Role.MARKET)
-    validators = [NodeIdentity(f"validator-{i}", Role.ACTIVE_VALIDATOR)
-                  for i in range(4)]
-    allocs = [make_transaction(0.0, mint.address, u.address, TokenAmount(10_000),
+    users = [derive_address(f"user-{i}") for i in range(3)]
+    mint = derive_address("mint")
+    sink = derive_address("sink")
+    validators = [derive_address(f"validator-{i}") for i in range(4)]
+    allocs = [make_transaction(0.0, mint, u, TokenAmount(10_000),
                                TxKind.ALLOCATION) for u in users]
-    base = create_genesis(users + [mint, sink], validators, allocs)
+    base = create_genesis(validators, allocs)
     assert base.quorum == 3  # minimum 2/3 of 4 participants
 
     runs = 0
     for behavior in Behavior:
         for position in range(4):
-            net = NetworkModel(byzantine={validators[position].address: behavior})
+            net = NetworkModel(byzantine={validators[position]: behavior})
             for seed in range(84):  # 3 behaviors x 4 positions x 84 = 1,008 runs
                 engine = ConsensusEngine(net, random.Random(seed))
                 ledger = base
                 heights_committed = set()
                 for depth in range(2):
                     pool = [make_transaction(
-                        100.0 * (depth + 1) + seed, users[depth].address,
-                        sink.address, TokenAmount(10 + depth), TxKind.SALE,
+                        100.0 * (depth + 1) + seed, users[depth],
+                        sink, TokenAmount(10 + depth), TxKind.SALE,
                         f"probe {behavior.value} {position} {seed} {depth}")]
                     result, ledger, _ = engine.run_until_commit(
                         pool, ledger, 100.0 * (depth + 1) + seed)
@@ -162,23 +160,22 @@ def test_criterion_04_throughput_and_latency(paper_scale_day):
 @pytest.mark.slow
 def test_criterion_05_tamper_evidence():
     import dataclasses
-    users = [NodeIdentity(f"user-{i}", Role.USER) for i in range(4)]
-    mint = NodeIdentity("mint", Role.MARKET)
-    sink = NodeIdentity("sink", Role.MARKET)
-    validators = [NodeIdentity(f"validator-{i}", Role.ACTIVE_VALIDATOR)
-                  for i in range(4)]
-    allocs = [make_transaction(0.0, mint.address, u.address, TokenAmount(10**9),
+    users = [derive_address(f"user-{i}") for i in range(4)]
+    mint = derive_address("mint")
+    sink = derive_address("sink")
+    validators = [derive_address(f"validator-{i}") for i in range(4)]
+    allocs = [make_transaction(0.0, mint, u, TokenAmount(10**9),
                                TxKind.ALLOCATION) for u in users]
-    ledger = create_genesis(users + [mint, sink], validators, allocs)
+    ledger = create_genesis(validators, allocs)
     for i in range(200):
         sender = users[i % 4]
-        txs = [make_transaction(float(i + 1), sender.address, sink.address,
+        txs = [make_transaction(float(i + 1), sender, sink,
                                 TokenAmount(100 + i), TxKind.SALE, f"hop {i}"),
-               make_transaction(float(i + 1) + 0.5, sender.address, sink.address,
+               make_transaction(float(i + 1) + 0.5, sender, sink,
                                 TokenAmount(7), TxKind.SALE, f"hop {i}b")]
-        block = build_block(txs, validators[i % 4].address, ledger.head)
+        block = build_block(txs, validators[i % 4], ledger.head)
         signed = dataclasses.replace(block, signatures=tuple(sorted(
-            (v.address, block_attestation(v.address, block.block_hash))
+            (v, block_attestation(v, block.block_hash))
             for v in validators)))
         ledger = ledger.apply_block(signed)
     assert len(ledger.chain) == 201
@@ -213,8 +210,8 @@ def test_criterion_06_token_conservation(paper_scale_day):
         assert sum(balances.values()) == minted  # after every committed block
 
     user_wallets = sum(ledger.balance(a).centi for a in result.user_addresses.values())
-    pool = ledger.balance(Market.address).centi
-    retired = ledger.balance(Market.retirement_address).centi
+    pool = ledger.balance(MARKET_ADDRESS).centi
+    retired = ledger.balance(RETIREMENT_ADDRESS).centi
     assert user_wallets + retired + pool == minted == ledger.minted_centi
     _pass(6, "token conservation: wallets + retired + pool == minted, every block")
 

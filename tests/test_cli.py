@@ -1,13 +1,23 @@
 """CLI subcommands, exit codes, machine-readable errors."""
 
+import collections
+import contextlib
+import hashlib
 import io
 import json
+import random
+import shutil
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from carbonledger import ledger as ledger_mod
 from carbonledger.cli import main
-from carbonledger.ledger import TxKind, import_chain
+from carbonledger.ledger import ParseError, TxKind, import_chain, verify_chain
+from carbonledger.tokens import TokenAmount
 
 
 def run_cli(capsys, *argv):
@@ -481,3 +491,129 @@ def test_empty_day_reports_cleanly(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "report", str(tmp_path / "out"))
     assert code == 0
     assert len(list((tmp_path / "out" / "reports").glob("*.csv"))) == 16
+
+
+# --- what `verify`, `inspect` and `report` see of an exported chain ---
+
+
+@pytest.fixture(scope="module")
+def faulty_run(tmp_path_factory):
+    """A small seed-7 day on 7 validators with drops and two faulty nodes,
+    simulated once; tests copy what they corrupt."""
+    run_dir = tmp_path_factory.mktemp("faulty") / "out"
+    cfg = run_dir.parent / "day.json"
+    cfg.write_text(json.dumps({"seed": 7, "synthetic_users": 20, "n_active_nodes": 7,
+                               "drop_probability": 0.1,
+                               "byzantine": [[5, "silent"], [6, "equivocate"]]}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "-c", str(cfg), "--out", str(run_dir)]) == 0
+    return run_dir
+
+
+def flip_hex(rng, text):
+    pos = rng.randrange(len(text))
+    return text[:pos] + rng.choice([c for c in "0123456789abcdef" if c != text[pos]]) \
+        + text[pos + 1:]
+
+
+def flip_signature(rng, block, part):
+    """Flip one hex digit of the signer (0) or attestation (1) of a signature."""
+    sig = rng.choice(block["signatures"])
+    sig[part] = flip_hex(rng, sig[part])
+
+
+def bump_amount(rng, amount):
+    return str(TokenAmount.parse(amount) + TokenAmount(rng.randint(1, 99)))
+
+
+# one single-field mutation per field of a block line, over the fields the
+# benchmark's mutation sweep covers
+FIELD_MUTATIONS = {
+    "tx.amount": lambda rng, b, t: t.update(amount=bump_amount(rng, t["amount"])),
+    "tx.timestamp": lambda rng, b, t: t.update(
+        timestamp=t["timestamp"] + rng.choice([0.001, 1.0, -0.5])),
+    "tx.sender": lambda rng, b, t: t.update(sender=flip_hex(rng, t["sender"])),
+    "tx.receiver": lambda rng, b, t: t.update(receiver=flip_hex(rng, t["receiver"])),
+    "tx.kind": lambda rng, b, t: t.update(
+        kind=rng.choice([k.value for k in TxKind if k.value != t["kind"]])),
+    "tx.description": lambda rng, b, t: t.update(
+        description=rng.choice([t["description"] + " ", t["description"][1:]])),
+    "tx.signature": lambda rng, b, t: t.update(signature=flip_hex(rng, t["signature"])),
+    "tx.tx_id": lambda rng, b, t: t.update(tx_id=flip_hex(rng, t["tx_id"])),
+    "block.height": lambda rng, b, t: b.update(height=b["height"] + rng.choice([-1, 1, 2])),
+    "block.prev_hash": lambda rng, b, t: b.update(prev_hash=flip_hex(rng, b["prev_hash"])),
+    "block.block_hash": lambda rng, b, t: b.update(block_hash=flip_hex(rng, b["block_hash"])),
+    "block.creator": lambda rng, b, t: b.update(creator=flip_hex(rng, b["creator"])),
+    "block.signer": lambda rng, b, t: flip_signature(rng, b, 0),
+    "block.attestation": lambda rng, b, t: flip_signature(rng, b, 1),
+}
+
+# sha256 of every mutated export's violation list (or its ParseError): it
+# moves with any change to what `verify` reports on an imported chain
+VIOLATIONS_DIGEST = "4d359fbab24cd7dd11a173c87b7531a5dae65f3958f3c0029a4e6c00a2487b48"
+
+
+def test_violations_on_imported_chains_are_pinned(faulty_run):
+    lines = (faulty_run / "ledger.ndjson").read_text().splitlines()
+    rng = random.Random(13)
+    outcomes = []
+    for name in sorted(FIELD_MUTATIONS) * 22:
+        height = rng.randrange(len(lines))
+        block = json.loads(lines[height])
+        FIELD_MUTATIONS[name](rng, block, rng.choice(block["txs"]))
+        mutated = lines[:height] + [json.dumps(block, separators=(",", ":"))] + lines[height + 1:]
+        try:
+            report = verify_chain(import_chain("\n".join(mutated) + "\n"))
+            outcome = [[v.height, v.kind, v.detail] for v in report.violations]
+        except ParseError as exc:
+            outcome = ["ParseError", str(exc)]
+        assert outcome, f"{name} at height {height} not detected"
+        outcomes.append([name, height, outcome])
+    assert len(outcomes) == 308
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == VIOLATIONS_DIGEST
+
+
+def test_verify_and_report_fold_each_committed_tx_once(faulty_run, tmp_path, monkeypatch):
+    committed = collections.Counter(
+        tx["tx_id"] for line in (faulty_run / "ledger.ndjson").read_text().splitlines()
+        for tx in json.loads(line)["txs"])
+    folded = collections.Counter()
+    fold = ledger_mod.fold_transaction
+
+    def counting_fold(balances, tx):
+        folded[tx.tx_id] += 1
+        return fold(balances, tx)
+
+    monkeypatch.setattr(ledger_mod, "fold_transaction", counting_fold)
+    for argv in (["verify", str(faulty_run / "ledger.ndjson")],
+                 ["report", str(faulty_run), "--out", str(tmp_path / "reports")]):
+        folded.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert folded == committed, argv[0]
+
+
+CORRUPTED_FILES = ("ledger.ndjson", "manifest.json")
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(CORRUPTED_FILES), data=st.data())
+def test_corrupt_run_dir_exits_with_a_contract_code(faulty_run, tmp_path, name, data):
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path)) / "run"
+    shutil.copytree(faulty_run, run_dir, ignore=shutil.ignore_patterns("reports"))
+    raw = bytearray((run_dir / name).read_bytes())
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                               min_size=1, max_size=4), label="edits")
+    for pos, byte in edits:
+        raw[pos] = byte
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw)), label="length")]
+    (run_dir / name).write_bytes(bytes(raw))
+    ledger_file = str(run_dir / "ledger.ndjson")
+    for argv in (["verify", ledger_file], ["inspect", ledger_file],
+                 ["report", str(run_dir), "--out", str(run_dir / "reports")]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3), argv[0]

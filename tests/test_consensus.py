@@ -19,10 +19,9 @@ from carbonledger.consensus import (
 )
 from carbonledger.ledger import (
     Ledger,
-    NodeIdentity,
-    Role,
     TxKind,
     create_genesis,
+    derive_address,
     make_transaction,
     max_faulty,
     quorum_size,
@@ -30,25 +29,25 @@ from carbonledger.ledger import (
 )
 from carbonledger.tokens import TokenAmount
 
-VALIDATORS = [NodeIdentity(f"validator-{i}", Role.ACTIVE_VALIDATOR) for i in range(4)]
-USERS = [NodeIdentity(f"user-{i}", Role.USER) for i in range(4)]
-MINT = NodeIdentity("mint", Role.MARKET)
-SINK = NodeIdentity("sink", Role.MARKET)
+VALIDATORS = [derive_address(f"validator-{i}") for i in range(4)]
+USERS = [derive_address(f"user-{i}") for i in range(4)]
+MINT = derive_address("mint")
+SINK = derive_address("sink")
 
 
 def make_ledger(n_validators=4):
     validators = VALIDATORS[:n_validators]
     allocs = [
-        make_transaction(0.0, MINT.address, u.address, TokenAmount(100_000),
+        make_transaction(0.0, MINT, u, TokenAmount(100_000),
                          TxKind.ALLOCATION)
         for u in USERS
     ]
-    return create_genesis(USERS + [MINT, SINK], validators, allocs)
+    return create_genesis(validators, allocs)
 
 
 def make_pool(ledger, n=2, ts=100.0):
     return [
-        make_transaction(ts + i, USERS[i].address, SINK.address,
+        make_transaction(ts + i, USERS[i], SINK,
                          TokenAmount(50 + i), TxKind.SALE)
         for i in range(n)
     ]
@@ -64,7 +63,7 @@ def tally(votes, n_active=4):
 
 
 def test_three_of_four_commit():
-    votes = [(v.address, "aa" * 32) for v in VALIDATORS[:3]]
+    votes = [(v, "aa" * 32) for v in VALIDATORS[:3]]
     result = tally(votes)
     assert result.block_hash is not None
     assert result.block_hash == "aa" * 32
@@ -72,34 +71,34 @@ def test_three_of_four_commit():
 
 
 def test_split_vote_no_quorum():
-    votes = [(VALIDATORS[0].address, "aa" * 32),
-             (VALIDATORS[1].address, "aa" * 32),
-             (VALIDATORS[2].address, "bb" * 32)]
+    votes = [(VALIDATORS[0], "aa" * 32),
+             (VALIDATORS[1], "aa" * 32),
+             (VALIDATORS[2], "bb" * 32)]
     result = tally(votes)
     assert result.block_hash is None
     assert result.best == 2
 
 
 def test_single_node_degenerate_quorum():
-    result = tally([(VALIDATORS[0].address, "cc" * 32)], n_active=1)
+    result = tally([(VALIDATORS[0], "cc" * 32)], n_active=1)
     assert result.block_hash is not None
 
 
 def test_equivocating_duplicates_first_counted():
-    votes = [(VALIDATORS[0].address, "aa" * 32),
-             (VALIDATORS[0].address, "bb" * 32),  # ignored
-             (VALIDATORS[1].address, "aa" * 32),
-             (VALIDATORS[2].address, "aa" * 32)]
+    votes = [(VALIDATORS[0], "aa" * 32),
+             (VALIDATORS[0], "bb" * 32),  # ignored
+             (VALIDATORS[1], "aa" * 32),
+             (VALIDATORS[2], "aa" * 32)]
     result = tally(votes)
     assert result.block_hash is not None and result.block_hash == "aa" * 32
 
 
 def test_tally_counts_on_past_quorum():
     # the commit is fixed at the vote that made quorum; `best` keeps counting
-    votes = [(v.address, "aa" * 32) for v in VALIDATORS]
+    votes = [(v, "aa" * 32) for v in VALIDATORS]
     result = tally(votes)
     assert result.commit_time == 2.0
-    assert result.voters == tuple(v.address for v in VALIDATORS[:3])
+    assert result.voters == tuple(VALIDATORS[:3])
     assert result.best == 4
 
 
@@ -107,7 +106,7 @@ def test_tally_against_exhaustive_assignment_oracle():
     # every assignment of 4 voters to {H1, H2, silent}
     h1, h2 = "11" * 32, "22" * 32
     for assignment in itertools.product([h1, h2, None], repeat=4):
-        votes = [(VALIDATORS[i].address, h)
+        votes = [(VALIDATORS[i], h)
                  for i, h in enumerate(assignment) if h is not None]
         result = tally(votes)
         count1 = sum(1 for h in assignment if h == h1)
@@ -135,8 +134,8 @@ def arrivals_of(rows):
 
 
 def test_identical_seed_identical_schedule():
-    broadcasts = [(VALIDATORS[0].address, float(i)) for i in range(50)]
-    dsts = [VALIDATORS[1].address]
+    broadcasts = [(VALIDATORS[0], float(i)) for i in range(50)]
+    dsts = [VALIDATORS[1]]
     net = NetworkModel(10, 20, drop_probability=0.2)
     a = simulate_network(broadcasts, dsts, net, random.Random(99))
     b = simulate_network(broadcasts, dsts, net, random.Random(99))
@@ -144,28 +143,28 @@ def test_identical_seed_identical_schedule():
 
 
 def test_zero_drop_delivers_everything():
-    broadcasts = [(VALIDATORS[0].address, 0.0) for i in range(100)]
+    broadcasts = [(VALIDATORS[0], 0.0) for i in range(100)]
     net = NetworkModel(10, 20, drop_probability=0.0)
     arrivals = arrivals_of(
-        simulate_network(broadcasts, [VALIDATORS[1].address], net, random.Random(1)))
+        simulate_network(broadcasts, [VALIDATORS[1]], net, random.Random(1)))
     assert all(t is not None for t in arrivals)
     assert all(0.010 <= t <= 0.020 for t in arrivals)
 
 
 def test_drop_rate_law_of_large_numbers():
-    broadcasts = [(VALIDATORS[0].address, 0.0) for i in range(10_000)]
+    broadcasts = [(VALIDATORS[0], 0.0) for i in range(10_000)]
     net = NetworkModel(10, 20, drop_probability=0.3)
     arrivals = arrivals_of(
-        simulate_network(broadcasts, [VALIDATORS[1].address], net, random.Random(7)))
+        simulate_network(broadcasts, [VALIDATORS[1]], net, random.Random(7)))
     dropped = sum(1 for t in arrivals if t is None)
     assert abs(dropped / 10_000 - 0.3) < 0.02
 
 
 def test_self_messages_never_dropped():
-    broadcasts = [(VALIDATORS[0].address, 1.0) for i in range(100)]
+    broadcasts = [(VALIDATORS[0], 1.0) for i in range(100)]
     net = NetworkModel(10, 20, drop_probability=0.9)
     arrivals = arrivals_of(
-        simulate_network(broadcasts, [VALIDATORS[0].address], net, random.Random(3)))
+        simulate_network(broadcasts, [VALIDATORS[0]], net, random.Random(3)))
     assert all(t == 1.0 for t in arrivals)
 
 
@@ -246,7 +245,7 @@ def test_one_equivocator_still_commits_without_fork():
     ledger = make_ledger()
     pool = make_pool(ledger, n=3)
     for seed in range(50):
-        net = NetworkModel(byzantine={VALIDATORS[3].address: Behavior.EQUIVOCATE})
+        net = NetworkModel(byzantine={VALIDATORS[3]: Behavior.EQUIVOCATE})
         result = run_round(pool, ledger, net, random.Random(seed), 0, 100.0)
         assert result.decision.outcome == "committed"
         assert len(result.fork_hashes) == 1
@@ -260,7 +259,7 @@ def test_one_equivocator_still_commits_without_fork():
 def test_each_proposal_validated_once_per_round(monkeypatch, leader_behavior, proposals):
     ledger = make_ledger()
     pool = make_pool(ledger, n=3)
-    byz = {VALIDATORS[0].address: leader_behavior} if leader_behavior else {}
+    byz = {VALIDATORS[0]: leader_behavior} if leader_behavior else {}
     calls = []
     original = Ledger.validate_pool
 
@@ -279,7 +278,7 @@ def test_each_proposal_validated_once_per_round(monkeypatch, leader_behavior, pr
 def test_silent_leader_times_out_then_next_leader_commits():
     ledger = make_ledger()
     pool = make_pool(ledger)
-    net = NetworkModel(byzantine={VALIDATORS[0].address: Behavior.SILENT})
+    net = NetworkModel(byzantine={VALIDATORS[0]: Behavior.SILENT})
     engine = ConsensusEngine(net, random.Random(11))
     result, new_ledger, _ = engine.run_until_commit(pool, ledger, 100.0)
     assert result is not None and new_ledger.height == 1
@@ -292,7 +291,7 @@ def test_liveness_under_synchrony_with_tolerable_silence():
     # zero drops, bounded delays, one silent non-leader: every round commits
     ledger = make_ledger()
     pool = make_pool(ledger)
-    net = NetworkModel(byzantine={VALIDATORS[2].address: Behavior.SILENT})
+    net = NetworkModel(byzantine={VALIDATORS[2]: Behavior.SILENT})
     for seed in range(30):
         result = run_round(pool, ledger, net, random.Random(seed), 0, 50.0)
         assert result.decision.outcome == "committed"
@@ -318,7 +317,7 @@ def test_delay_node_tolerated():
     # past the 20 ms proposal deadline and the 39.8 ms vote window, so it is
     # in effect silent: it signs no committed block, and only the rounds it
     # proposes fail
-    slow = VALIDATORS[1].address
+    slow = VALIDATORS[1]
     net = NetworkModel(byzantine={slow: Behavior.DELAY})
     for seed in range(30):
         ledger = make_ledger()
@@ -333,7 +332,7 @@ def test_delay_node_tolerated():
 def test_delay_node_votes_sometimes_land_on_fast_links():
     # with 0-20 ms links its votes take 0-100 ms and land inside the 39.6 ms
     # window whenever the drawn delay is below 7.92 ms
-    slow = VALIDATORS[1].address
+    slow = VALIDATORS[1]
     net = NetworkModel(0.0, 20.0, byzantine={slow: Behavior.DELAY})
     ledger, signers = delay_node_chain(net, seed=5)
     assert verify_chain(ledger).ok and signers
@@ -342,8 +341,8 @@ def test_delay_node_votes_sometimes_land_on_fast_links():
 
 def test_two_byzantine_beyond_bound_needs_flag():
     ledger = make_ledger()
-    byz = {VALIDATORS[2].address: Behavior.SILENT,
-           VALIDATORS[3].address: Behavior.SILENT}
+    byz = {VALIDATORS[2]: Behavior.SILENT,
+           VALIDATORS[3]: Behavior.SILENT}
     with pytest.raises(UnsafeFaultConfig):
         run_round(make_pool(ledger), ledger, NetworkModel(byzantine=byz),
                   random.Random(0), 0, 0.0)
@@ -429,12 +428,11 @@ def test_random_rounds_match_pinned_digest():
     for _ in range(500):
         n = params.choice([1, 2, 3, 4, 5, 6, 7, 32])
         if n not in ledgers:
-            validators = [NodeIdentity(f"validator-{i}", Role.ACTIVE_VALIDATOR)
-                          for i in range(n)]
-            allocs = [make_transaction(0.0, MINT.address, u.address,
+            validators = [derive_address(f"validator-{i}") for i in range(n)]
+            allocs = [make_transaction(0.0, MINT, u,
                                        TokenAmount(100_000), TxKind.ALLOCATION)
                       for u in USERS]
-            ledgers[n] = create_genesis(USERS + [MINT, SINK], validators, allocs)
+            ledgers[n] = create_genesis(validators, allocs)
         ledger = ledgers[n]
         unsafe = params.random() < 0.5
         p_fault = params.choice([0.0, 0.2, 0.5])

@@ -22,10 +22,8 @@ from carbonledger.ledger import (
     EmptyPool,
     Ledger,
     NegativeBalanceWouldResult,
-    NodeIdentity,
     ParseError,
     QuorumMissing,
-    Role,
     TxKind,
     UnknownAddress,
     block_attestation,
@@ -45,11 +43,11 @@ from carbonledger.ledger import (
 from carbonledger.tokens import TokenAmount
 
 
-VALIDATORS = [NodeIdentity(f"validator-{i}", Role.ACTIVE_VALIDATOR) for i in range(4)]
-ALICE = NodeIdentity("alice", Role.USER)
-BOB = NodeIdentity("bob", Role.USER)
-MINT = NodeIdentity("mint", Role.MARKET)
-SINK = NodeIdentity("sink", Role.MARKET)
+VALIDATORS = [derive_address(f"validator-{i}") for i in range(4)]
+ALICE = derive_address("alice")
+BOB = derive_address("bob")
+MINT = derive_address("mint")
+SINK = derive_address("sink")
 
 
 def tok(s) -> TokenAmount:
@@ -64,18 +62,18 @@ def export_text(ledger: Ledger) -> str:
 
 def fresh_ledger(alice_grant="493.79", bob_grant="493.79") -> Ledger:
     allocs = [
-        make_transaction(0.0, MINT.address, ALICE.address, tok(alice_grant), TxKind.ALLOCATION),
-        make_transaction(0.0, MINT.address, BOB.address, tok(bob_grant), TxKind.ALLOCATION),
+        make_transaction(0.0, MINT, ALICE, tok(alice_grant), TxKind.ALLOCATION),
+        make_transaction(0.0, MINT, BOB, tok(bob_grant), TxKind.ALLOCATION),
     ]
-    return create_genesis([ALICE, BOB, MINT, SINK], VALIDATORS, allocs)
+    return create_genesis(VALIDATORS, allocs)
 
 
 def commit(ledger: Ledger, txs, creator=None) -> Ledger:
-    block = build_block(txs, creator or VALIDATORS[0].address, ledger.head)
+    block = build_block(txs, creator or VALIDATORS[0], ledger.head)
     signed = dataclasses.replace(
         block,
         signatures=tuple(sorted(
-            (v.address, block_attestation(v.address, block.block_hash))
+            (v, block_attestation(v, block.block_hash))
             for v in VALIDATORS
         )),
     )
@@ -91,50 +89,50 @@ def payment(sender, receiver, amount, ts=10.0, description="trip:t1"):
 
 
 def test_well_formed_trip_payment_accepted():
-    tx = payment(ALICE.address, SINK.address, "206.00")
+    tx = payment(ALICE, SINK, "206.00")
     assert validate_stateless(tx) == ACCEPT
 
 
 def test_zero_amount_rejected():
-    tx = payment(ALICE.address, SINK.address, "0.00")
+    tx = payment(ALICE, SINK, "0.00")
     assert validate_stateless(tx).code == MALFORMED_AMOUNT
 
 
 def test_negative_amount_rejected():
-    tx = payment(ALICE.address, SINK.address, "-1.00")
+    tx = payment(ALICE, SINK, "-1.00")
     assert validate_stateless(tx).code == MALFORMED_AMOUNT
 
 
 def test_tampered_tx_id_rejected():
-    tx = payment(ALICE.address, SINK.address, "206.00")
+    tx = payment(ALICE, SINK, "206.00")
     bad = dataclasses.replace(tx, tx_id="0" * 64)
     assert validate_stateless(bad).code == HASH_MISMATCH
 
 
 def test_tampered_payload_rejected():
-    tx = payment(ALICE.address, SINK.address, "206.00")
+    tx = payment(ALICE, SINK, "206.00")
     bad = dataclasses.replace(tx, amount=tok("207.00"))
     assert validate_stateless(bad).code == HASH_MISMATCH
 
 
 def test_bad_signature_rejected():
-    tx = payment(ALICE.address, SINK.address, "206.00")
+    tx = payment(ALICE, SINK, "206.00")
     bad = dataclasses.replace(tx, signature="f" * 64)
     assert validate_stateless(bad).code == BAD_SIGNATURE
 
 
 def test_malformed_address_rejected():
-    tx = make_transaction(1.0, "nonsense", SINK.address, tok("1.00"), TxKind.SALE)
+    tx = make_transaction(1.0, "nonsense", SINK, tok("1.00"), TxKind.SALE)
     assert validate_stateless(tx).code == UNKNOWN_ADDRESS
 
 
 def test_self_transfer_rejected():
-    tx = make_transaction(1.0, ALICE.address, ALICE.address, tok("1.00"), TxKind.SALE)
+    tx = make_transaction(1.0, ALICE, ALICE, tok("1.00"), TxKind.SALE)
     assert validate_stateless(tx).code == UNKNOWN_ADDRESS
 
 
 def test_trip_payment_without_trip_id_rejected():
-    tx = make_transaction(1.0, ALICE.address, SINK.address, tok("1.00"),
+    tx = make_transaction(1.0, ALICE, SINK, tok("1.00"),
                           TxKind.TRIP_PAYMENT, description="no reference")
     assert validate_stateless(tx).code == MALFORMED_DESCRIPTION
 
@@ -149,7 +147,7 @@ def test_stateless_validation_reads_no_ledger_state():
             raise AssertionError(f"stateless validation read ledger state: {name}")
 
     trap = Tripwire()
-    tx = payment(ALICE.address, SINK.address, "206.00")
+    tx = payment(ALICE, SINK, "206.00")
     assert validate_stateless(tx) == ACCEPT
     del trap, ledger
 
@@ -165,13 +163,13 @@ def pool_verdict(ledger, tx):
 
 def test_sufficient_balance_accepted():
     ledger = fresh_ledger("493.79")
-    tx = payment(ALICE.address, SINK.address, "206.00")
+    tx = payment(ALICE, SINK, "206.00")
     assert pool_verdict(ledger, tx) == ACCEPT
 
 
 def test_insufficient_balance_rejected_with_both_numbers():
     ledger = fresh_ledger("100.00")
-    tx = payment(ALICE.address, SINK.address, "150.00")
+    tx = payment(ALICE, SINK, "150.00")
     res = pool_verdict(ledger, tx)
     assert res.code == INSUFFICIENT_TOKENS
     assert "100.00" in res.detail and "150.00" in res.detail
@@ -179,7 +177,7 @@ def test_insufficient_balance_rejected_with_both_numbers():
 
 def test_replayed_tx_rejected():
     ledger = fresh_ledger()
-    tx = payment(ALICE.address, SINK.address, "10.00")
+    tx = payment(ALICE, SINK, "10.00")
     ledger = commit(ledger, [tx])
     assert pool_verdict(ledger, tx).code == DUPLICATE_TRANSACTION
 
@@ -189,12 +187,12 @@ def test_replayed_tx_rejected():
 
 def test_build_block_contract():
     ledger = fresh_ledger()
-    txs = [payment(ALICE.address, SINK.address, f"{i + 1}.00", ts=float(i))
+    txs = [payment(ALICE, SINK, f"{i + 1}.00", ts=float(i))
            for i in range(3)]
     for _ in range(7):
-        ledger = commit(ledger, [payment(ALICE.address, SINK.address, "1.00",
+        ledger = commit(ledger, [payment(ALICE, SINK, "1.00",
                                          ts=float(ledger.height))])
-    block = build_block(txs, VALIDATORS[1].address, ledger.head)
+    block = build_block(txs, VALIDATORS[1], ledger.head)
     assert block.height == ledger.height + 1
     assert block.prev_hash == ledger.head.block_hash
     assert len(block.txs) == 3
@@ -202,11 +200,11 @@ def test_build_block_contract():
 
 
 def test_equal_timestamps_tie_break_by_tx_id():
-    a = payment(ALICE.address, SINK.address, "1.00", ts=5.0)
-    b = payment(BOB.address, SINK.address, "2.00", ts=5.0)
+    a = payment(ALICE, SINK, "1.00", ts=5.0)
+    b = payment(BOB, SINK, "2.00", ts=5.0)
     ledger = fresh_ledger()
-    block = build_block([a, b], VALIDATORS[0].address, ledger.head)
-    reversed_block = build_block([b, a], VALIDATORS[0].address, ledger.head)
+    block = build_block([a, b], VALIDATORS[0], ledger.head)
+    reversed_block = build_block([b, a], VALIDATORS[0], ledger.head)
     # oracle: sort both presentations by the documented key
     expected = sorted([a, b], key=lambda tx: (tx.timestamp, tx.tx_id))
     assert list(block.txs) == expected
@@ -217,8 +215,8 @@ def test_equal_timestamps_tie_break_by_tx_id():
 def test_pool_with_internal_dependency_validates_sequentially():
     # second transaction spends what the first delivers
     ledger = fresh_ledger("0.00", "50.00")
-    t1 = make_transaction(1.0, BOB.address, ALICE.address, tok("30.00"), TxKind.SALE)
-    t2 = make_transaction(2.0, ALICE.address, SINK.address, tok("25.00"),
+    t1 = make_transaction(1.0, BOB, ALICE, tok("30.00"), TxKind.SALE)
+    t2 = make_transaction(2.0, ALICE, SINK, tok("25.00"),
                           TxKind.TRIP_PAYMENT, "trip:t9")
     accepted, rejected = ledger.validate_pool([t1, t2])
     assert len(accepted) == 2 and not rejected
@@ -229,7 +227,7 @@ def test_pool_with_internal_dependency_validates_sequentially():
 def test_empty_pool_rejected():
     ledger = fresh_ledger()
     with pytest.raises(EmptyPool):
-        build_block([], VALIDATORS[0].address, ledger.head)
+        build_block([], VALIDATORS[0], ledger.head)
 
 
 # --- applying blocks ---
@@ -237,8 +235,8 @@ def test_empty_pool_rejected():
 
 def test_apply_requires_quorum():
     ledger = fresh_ledger()
-    block = build_block([payment(ALICE.address, SINK.address, "1.00")],
-                        VALIDATORS[0].address, ledger.head)
+    block = build_block([payment(ALICE, SINK, "1.00")],
+                        VALIDATORS[0], ledger.head)
     with pytest.raises(QuorumMissing):
         ledger.apply_block(block)  # unsigned proposal
 
@@ -246,8 +244,8 @@ def test_apply_requires_quorum():
 def test_apply_requires_chain_link():
     ledger = fresh_ledger()
     other = fresh_ledger("1.00", "1.00")
-    block = build_block([payment(ALICE.address, SINK.address, "1.00")],
-                        VALIDATORS[0].address, other.head)
+    block = build_block([payment(ALICE, SINK, "1.00")],
+                        VALIDATORS[0], other.head)
     block = dataclasses.replace(block, prev_hash="f" * 64,
                                 block_hash=compute_block_hash(
                                     block.height, "f" * 64, block.txs, block.creator))
@@ -258,7 +256,7 @@ def test_apply_requires_chain_link():
 def test_apply_is_pure_and_refold_matches():
     ledger = fresh_ledger()
     before = dict(ledger.balances)
-    ledger2 = commit(ledger, [payment(ALICE.address, SINK.address, "10.00")])
+    ledger2 = commit(ledger, [payment(ALICE, SINK, "10.00")])
     assert dict(ledger.balances) == before  # original untouched
     refolded = import_chain(export_text(ledger2))
     assert refolded.balances == ledger2.balances
@@ -267,10 +265,10 @@ def test_apply_is_pure_and_refold_matches():
 
 def test_minting_totals_accumulate():
     n, grant = 25, tok("493.79")
-    users = [NodeIdentity(f"u{i}", Role.USER) for i in range(n)]
-    allocs = [make_transaction(0.0, MINT.address, u.address, grant, TxKind.ALLOCATION)
+    users = [derive_address(f"u{i}") for i in range(n)]
+    allocs = [make_transaction(0.0, MINT, u, grant, TxKind.ALLOCATION)
               for u in users]
-    ledger = create_genesis(users + [MINT], VALIDATORS, allocs)
+    ledger = create_genesis(VALIDATORS, allocs)
     assert ledger.minted_centi == grant.centi * n
     assert sum(ledger.balances.values()) == ledger.minted_centi
 
@@ -284,20 +282,20 @@ def snapshot(ledger: Ledger):
 
 
 def signed_block(ledger: Ledger, txs):
-    block = build_block(txs, VALIDATORS[0].address, ledger.head)
+    block = build_block(txs, VALIDATORS[0], ledger.head)
     return dataclasses.replace(block, signatures=tuple(sorted(
-        (v.address, block_attestation(v.address, block.block_hash)) for v in VALIDATORS
+        (v, block_attestation(v, block.block_hash)) for v in VALIDATORS
     )))
 
 
 @pytest.mark.parametrize("failure", ["overspend", "replay"])
 def test_block_failing_part_way_leaves_input_unchanged(failure):
     ledger = fresh_ledger("100.00", "100.00")
-    spent = payment(BOB.address, SINK.address, "1.00", ts=3.0, description="trip:t0")
+    spent = payment(BOB, SINK, "1.00", ts=3.0, description="trip:t0")
     ledger = commit(ledger, [spent])
     before = snapshot(ledger)
-    first = payment(ALICE.address, SINK.address, "60.00", ts=1.0)  # folds cleanly
-    second = (payment(ALICE.address, SINK.address, "60.00", ts=2.0, description="trip:t2")
+    first = payment(ALICE, SINK, "60.00", ts=1.0)  # folds cleanly
+    second = (payment(ALICE, SINK, "60.00", ts=2.0, description="trip:t2")
               if failure == "overspend" else spent)
     block = signed_block(ledger, [first, second])
     assert block.txs[0] == first
@@ -307,7 +305,7 @@ def test_block_failing_part_way_leaves_input_unchanged(failure):
     assert snapshot(ledger) == before
     assert first.tx_id not in ledger.tx_index
     after = commit(ledger, [first])
-    assert after.balance(ALICE.address) == tok("40.00")
+    assert after.balance(ALICE) == tok("40.00")
     assert after.tx_index[first.tx_id] == (2, 0)
     assert after.minted_centi == ledger.minted_centi
     assert snapshot(ledger) == before
@@ -315,25 +313,25 @@ def test_block_failing_part_way_leaves_input_unchanged(failure):
 
 def test_two_children_of_one_parent_stay_independent():
     parent = fresh_ledger("100.00", "100.00")
-    pay_a = payment(ALICE.address, SINK.address, "10.00")
-    pay_b = payment(BOB.address, ALICE.address, "25.00", ts=11.0, description="trip:t2")
+    pay_a = payment(ALICE, SINK, "10.00")
+    pay_b = payment(BOB, ALICE, "25.00", ts=11.0, description="trip:t2")
     child_a = commit(parent, [pay_a])
     child_b = commit(parent, [pay_b])
     assert child_a.head.block_hash != child_b.head.block_hash
 
-    assert child_a.balance(ALICE.address) == tok("90.00")
-    assert parent.balance(ALICE.address) == tok("100.00")
-    assert child_b.balance(ALICE.address) == tok("125.00")
+    assert child_a.balance(ALICE) == tok("90.00")
+    assert parent.balance(ALICE) == tok("100.00")
+    assert child_b.balance(ALICE) == tok("125.00")
     assert pay_a.tx_id in child_a.tx_index and pay_b.tx_id not in child_a.tx_index
     assert child_b.chain[-1].txs == (pay_b,)
-    assert parent.chain == (parent.head,) and SINK.address not in parent.balances
+    assert parent.chain == (parent.head,) and SINK not in parent.balances
     assert child_a.chain[-1].txs == (pay_a,)
-    assert child_b.balance(SINK.address) == tok("0.00")
-    assert child_a.balance(SINK.address) == tok("10.00")
+    assert child_b.balance(SINK) == tok("0.00")
+    assert child_a.balance(SINK) == tok("10.00")
     # extending a value that is not the one read last
     grandchild = commit(child_b, [pay_a])
-    assert child_a.balance(ALICE.address) == tok("90.00")
-    assert grandchild.balance(ALICE.address) == tok("115.00")
+    assert child_a.balance(ALICE) == tok("90.00")
+    assert grandchild.balance(ALICE) == tok("115.00")
     assert [len(v.chain) for v in (parent, child_a, child_b, grandchild)] == [1, 2, 2, 3]
     assert verify_chain(grandchild).ok and verify_chain(child_a).ok
 
@@ -342,7 +340,7 @@ def test_two_children_of_one_parent_stay_independent():
 @given(st.data())
 def test_persistent_values_match_dict_copy_oracle(data):
     # oracle: every value carries its own copied dicts, as an eager ledger would
-    parties = [ALICE.address, BOB.address, SINK.address]
+    parties = [ALICE, BOB, SINK]
     values = [fresh_ledger("20.00", "20.00")]
     oracle = [snapshot(values[0])]
     for step in range(data.draw(st.integers(1, 25))):
@@ -383,7 +381,7 @@ def build_chain(n_blocks=10) -> Ledger:
     for i in range(n_blocks):
         sender, receiver = (ALICE, BOB) if i % 2 == 0 else (BOB, ALICE)
         ledger = commit(ledger, [
-            make_transaction(float(i + 1), sender.address, receiver.address,
+            make_transaction(float(i + 1), sender, receiver,
                              tok("5.00"), TxKind.SALE, f"hop {i}")
         ])
     return ledger
@@ -401,9 +399,7 @@ def test_amount_flip_reported_at_height_and_links_break_after():
     bad_tx = dataclasses.replace(block.txs[0], amount=tok("6.00"))
     bad_block = dataclasses.replace(block, txs=(bad_tx,) + block.txs[1:])
     chain = ledger.chain[:target] + (bad_block,) + ledger.chain[target + 1:]
-    tampered = Ledger(chain, dict(ledger.balances), dict(ledger.tx_index),
-                      ledger.registry, ledger.validators, ledger.minted_centi)
-    report = verify_chain(tampered)
+    report = verify_chain(Ledger(chain, ledger.validators))
     kinds = {(v.height, v.kind) for v in report.violations}
     assert (target, "block_hash_mismatch") in kinds or (target, "tx_hash_mismatch") in kinds
     # the recomputed-hash cascade breaks every later link
@@ -413,12 +409,11 @@ def test_amount_flip_reported_at_height_and_links_break_after():
 
 def test_injected_state_mismatch_reported():
     ledger = build_chain(3)
-    balances = dict(ledger.balances)
-    balances[ALICE.address] += 100
-    poisoned = Ledger(ledger.chain, balances, dict(ledger.tx_index),
-                      ledger.registry, ledger.validators, ledger.minted_centi)
-    report = verify_chain(poisoned)
-    assert any(v.kind == "state_mismatch" for v in report.violations)
+    ledger._state()[0][ALICE] += 100  # the wallet map `apply_block` derived
+    report = verify_chain(ledger)
+    assert [v.kind for v in report.violations] == ["state_mismatch"]
+    # a root built from the same chain folds it, so there is nothing to mismatch
+    assert verify_chain(Ledger(ledger.chain, ledger.validators)).ok
 
 
 def test_every_single_field_mutation_detected():
@@ -485,8 +480,7 @@ def mutate_one_field(ledger: Ledger, rng: random.Random) -> Ledger:
         block = dataclasses.replace(block, signatures=tuple(sigs))
 
     chain[i] = block
-    return Ledger(tuple(chain), dict(ledger.balances), dict(ledger.tx_index),
-                  ledger.registry, ledger.validators, ledger.minted_centi)
+    return Ledger(chain, ledger.validators)
 
 
 # --- history ---
@@ -494,24 +488,40 @@ def mutate_one_field(ledger: Ledger, rng: random.Random) -> Ledger:
 
 def test_history_replay_matches_balance():
     ledger = fresh_ledger("500.00", "0.00")
-    ledger = commit(ledger, [payment(ALICE.address, SINK.address, "206.00", ts=1.0,
+    ledger = commit(ledger, [payment(ALICE, SINK, "206.00", ts=1.0,
                                      description="trip:a;vehicle:veh-alice")])
-    ledger = commit(ledger, [payment(ALICE.address, SINK.address, "100.00", ts=2.0,
+    ledger = commit(ledger, [payment(ALICE, SINK, "100.00", ts=2.0,
                                      description="trip:b;vehicle:veh-alice")])
-    history = ledger.query_history(ALICE.address)
+    history = ledger.query_history(ALICE)
     assert len(history) == 3  # allocation + two payments
     running = 0
     for tx in history:
-        running += tx.amount.centi if tx.receiver == ALICE.address else -tx.amount.centi
-    assert running == ledger.balance(ALICE.address).centi
+        running += tx.amount.centi if tx.receiver == ALICE else -tx.amount.centi
+    assert running == ledger.balance(ALICE).centi
     # the vehicle shows up in descriptions, never as a party
     assert all("veh-alice" in tx.description for tx in history[1:])
     assert all(tx.sender != derive_address("veh-alice") for tx in history)
 
 
-def test_history_empty_for_idle_address():
+def test_history_of_idle_address_raises():
     ledger = fresh_ledger()
-    assert ledger.query_history(SINK.address) == []
+    with pytest.raises(UnknownAddress):
+        ledger.query_history(SINK)
+
+
+def test_history_agrees_in_memory_and_imported():
+    ledger = commit(fresh_ledger(), [payment(ALICE, SINK, "10.00")])
+    imported = import_chain(export_text(ledger))
+
+    def history(value, owner):
+        try:
+            return value.query_history(owner)
+        except UnknownAddress:
+            return "unknown"
+
+    for owner in (ALICE, BOB, SINK, MINT, VALIDATORS[0], "ab" * 20):
+        assert history(ledger, owner) == history(imported, owner)
+    assert history(ledger, VALIDATORS[0]) == "unknown"
 
 
 def test_history_unknown_address_raises():
@@ -583,8 +593,8 @@ def test_wallet_export_format():
     lines = text.strip().splitlines()
     assert lines[0] == "address,balance"
     balances = dict(line.split(",") for line in lines[1:])
-    assert balances[ALICE.address] == "10.00"
-    assert balances[BOB.address] == "20.50"
+    assert balances[ALICE] == "10.00"
+    assert balances[BOB] == "20.50"
 
 
 # --- quorum arithmetic and no-double-spend property ---
@@ -603,16 +613,16 @@ def test_quorum_arithmetic_bounds():
 def test_no_double_spend_vs_sequential_oracle(data):
     # adversarially ordered pools never drive a committed balance negative
     balances = {
-        ALICE.address: data.draw(st.integers(0, 2000)),
-        BOB.address: data.draw(st.integers(0, 2000)),
+        ALICE: data.draw(st.integers(0, 2000)),
+        BOB: data.draw(st.integers(0, 2000)),
     }
     allocs = [
-        make_transaction(0.0, MINT.address, addr, TokenAmount(c), TxKind.ALLOCATION)
+        make_transaction(0.0, MINT, addr, TokenAmount(c), TxKind.ALLOCATION)
         for addr, c in balances.items() if c > 0
     ]
-    ledger = create_genesis([ALICE, BOB, MINT, SINK], VALIDATORS, allocs)
+    ledger = create_genesis(VALIDATORS, allocs)
 
-    parties = [ALICE.address, BOB.address, SINK.address]
+    parties = [ALICE, BOB, SINK]
     n_txs = data.draw(st.integers(1, 20))
     pool = []
     for i in range(n_txs):
@@ -624,7 +634,7 @@ def test_no_double_spend_vs_sequential_oracle(data):
     accepted, _ = ledger.validate_pool(pool)
     # oracle: replay the pool sequentially against plain integer balances
     oracle = dict(balances)
-    oracle[SINK.address] = 0
+    oracle[SINK] = 0
     expected = []
     for tx in pool:
         if oracle.get(tx.sender, 0) >= tx.amount.centi:

@@ -12,14 +12,14 @@ from carbonledger.emissions import (
     trip_cost,
 )
 from carbonledger.ledger import (
-    NodeIdentity,
-    Role,
     TxKind,
     build_block,
     block_attestation,
     create_genesis,
+    derive_address,
 )
 from carbonledger.market import (
+    MARKET_ADDRESS,
     CapPolicy,
     EmptyPopulation,
     InsufficientTokens,
@@ -34,8 +34,8 @@ import dataclasses
 
 PRICE = PricePolicy(20.0)
 BUS = BusChargingPolicy(seats_per_bus=50.55)
-VALIDATORS = [NodeIdentity(f"validator-{i}", Role.ACTIVE_VALIDATOR) for i in range(4)]
-USERS = [NodeIdentity(f"user-{i}", Role.USER) for i in range(3)]
+VALIDATORS = [derive_address(f"validator-{i}") for i in range(4)]
+USERS = [derive_address(f"user-{i}") for i in range(3)]
 
 TABLE = EmissionFactorTable.from_csv(
     "class,v_lo_kmh,v_hi_kmh,g_per_km\ncar,0,200,100\nbus,0,200,1187.925\n"
@@ -47,22 +47,18 @@ def tok(s):
 
 
 def commit(ledger, txs):
-    block = build_block(txs, VALIDATORS[0].address, ledger.head)
+    block = build_block(txs, VALIDATORS[0], ledger.head)
     signed = dataclasses.replace(block, signatures=tuple(sorted(
-        (v.address, block_attestation(v.address, block.block_hash)) for v in VALIDATORS
+        (v, block_attestation(v, block.block_hash)) for v in VALIDATORS
     )))
     return ledger.apply_block(signed)
 
 
 def bootstrap(market, grants_cap="150.00", initial_pool=None, users=USERS):
     policy = CapPolicy(cap=tok(grants_cap))
-    txs = market.genesis_transactions([u.address for u in users], policy,
+    txs = market.genesis_transactions(list(users), policy,
                                       initial_pool=initial_pool)
-    from carbonledger.market import ISSUER_NODE, MARKET_NODE, OPERATOR_NODE, RETIREMENT_NODE
-    ledger = create_genesis(list(users) + [MARKET_NODE, RETIREMENT_NODE,
-                                           ISSUER_NODE, OPERATOR_NODE],
-                            VALIDATORS, txs)
-    return ledger
+    return create_genesis(VALIDATORS, txs)
 
 
 def committed(ledger, kind):
@@ -108,17 +104,17 @@ def test_allocation_exactness(cap_centi, n_users):
 
 def test_allocate_builds_one_tx_per_user():
     market = Market()
-    txs = allocate([u.address for u in USERS], CapPolicy(cap=tok("100.00")),
-                   market.address)
+    txs = allocate(list(USERS), CapPolicy(cap=tok("100.00")),
+                   MARKET_ADDRESS)
     assert len(txs) == 3
-    assert all(tx.kind is TxKind.ALLOCATION and tx.sender == market.address
+    assert all(tx.kind is TxKind.ALLOCATION and tx.sender == MARKET_ADDRESS
                for tx in txs)
     assert total(tx.amount for tx in txs) == tok("100.00")
 
 
 def test_allocate_rejects_empty_population():
     with pytest.raises(EmptyPopulation):
-        allocate([], CapPolicy(cap=tok("1.00")), Market().address)
+        allocate([], CapPolicy(cap=tok("1.00")), MARKET_ADDRESS)
 
 
 # --- settlement ---
@@ -127,12 +123,12 @@ def test_allocate_rejects_empty_population():
 def test_settlement_with_sufficient_balance():
     market = Market()
     ledger = bootstrap(market, "1481.37")  # 493.79 each
-    txs = market.settle_trip(USERS[0].address, tok("206.00"), ledger, now=3600.0,
+    txs = market.settle_trip(USERS[0], tok("206.00"), ledger, now=3600.0,
                              description="trip:t1")
     assert len(txs) == 1
     assert txs[0].kind is TxKind.TRIP_PAYMENT
     ledger = commit(ledger, txs)
-    assert ledger.balance(USERS[0].address) == tok("287.79")
+    assert ledger.balance(USERS[0]) == tok("287.79")
     assert committed(ledger, TxKind.TRIP_PAYMENT) == tok("206.00")
 
 
@@ -140,14 +136,14 @@ def test_settlement_with_deficit_buys_shortfall():
     market = Market()
     # artificial cap well below the trip cost, so the pool is set explicitly
     ledger = bootstrap(market, "30.00", initial_pool=tok("1000.00"))  # 10.00 each
-    txs = market.settle_trip(USERS[0].address, tok("55.24"), ledger, now=3600.0,
+    txs = market.settle_trip(USERS[0], tok("55.24"), ledger, now=3600.0,
                              description="trip:t1")
     assert [t.kind for t in txs] == [TxKind.PURCHASE, TxKind.TRIP_PAYMENT]
     assert txs[0].amount == tok("45.24")
     assert txs[1].amount == tok("55.24")
     assert txs[0].timestamp < txs[1].timestamp  # purchase lands first in-block
     ledger = commit(ledger, txs)
-    assert ledger.balance(USERS[0].address) == TokenAmount.zero()
+    assert ledger.balance(USERS[0]) == TokenAmount.zero()
     # net position: grant 10.00 - cost 55.24
     assert tok("10.00") - tok("55.24") == tok("-45.24")
     assert committed(ledger, TxKind.PURCHASE) == tok("45.24")
@@ -156,7 +152,7 @@ def test_settlement_with_deficit_buys_shortfall():
 def test_zero_cost_settles_without_transactions():
     market = Market()
     ledger = bootstrap(market)
-    assert market.settle_trip(USERS[0].address, TokenAmount.zero(), ledger, 0.0) == []
+    assert market.settle_trip(USERS[0], TokenAmount.zero(), ledger, 0.0) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,20 +161,18 @@ def test_zero_cost_settles_without_transactions():
 def test_settlement_identity(balance_centi, cost_centi):
     # balance_after == max(0, before - cost); purchase == max(0, cost - before)
     market = Market()
-    user = NodeIdentity("solo", Role.USER)
+    user = derive_address("solo")
     policy = CapPolicy(cap=TokenAmount(balance_centi))
-    txs = market.genesis_transactions([user.address], policy,
+    txs = market.genesis_transactions([user], policy,
                                       initial_pool=TokenAmount(10**9))
-    from carbonledger.market import ISSUER_NODE, MARKET_NODE, OPERATOR_NODE, RETIREMENT_NODE
-    ledger = create_genesis([user, MARKET_NODE, RETIREMENT_NODE, ISSUER_NODE,
-                             OPERATOR_NODE], VALIDATORS, txs)
-    settlement = market.settle_trip(user.address, TokenAmount(cost_centi), ledger,
+    ledger = create_genesis(VALIDATORS, txs)
+    settlement = market.settle_trip(user, TokenAmount(cost_centi), ledger,
                                     now=1.0, description="trip:x")
     if cost_centi == 0:
         assert settlement == []
         return
     ledger = commit(ledger, settlement)
-    assert ledger.balance(user.address).centi == max(0, balance_centi - cost_centi)
+    assert ledger.balance(user).centi == max(0, balance_centi - cost_centi)
     purchases = [t for t in settlement if t.kind is TxKind.PURCHASE]
     bought = purchases[0].amount.centi if purchases else 0
     assert bought == max(0, cost_centi - balance_centi)
@@ -188,7 +182,7 @@ def test_pool_exhaustion_detected():
     market = Market()
     ledger = bootstrap(market, "30.00", initial_pool=tok("5.00"))
     with pytest.raises(MarketPoolExhausted):
-        market.settle_trip(USERS[0].address, tok("100.00"), ledger, 0.0,
+        market.settle_trip(USERS[0], tok("100.00"), ledger, 0.0,
                            description="trip:t1")
 
 
@@ -199,9 +193,9 @@ def test_sell_whole_surplus():
     market = Market()
     ledger = bootstrap(market, "1137.12")  # 379.04 each
     pool_before = market.pool(ledger)
-    tx = market.sell_surplus(USERS[0].address, tok("379.04"), ledger, now=86_000.0)
+    tx = market.sell_surplus(USERS[0], tok("379.04"), ledger, now=86_000.0)
     ledger = commit(ledger, [tx])
-    assert ledger.balance(USERS[0].address) == TokenAmount.zero()
+    assert ledger.balance(USERS[0]) == TokenAmount.zero()
     assert market.pool(ledger) == pool_before + tok("379.04")
     assert committed(ledger, TxKind.SALE) == tok("379.04")
 
@@ -210,14 +204,14 @@ def test_sell_zero_rejected():
     market = Market()
     ledger = bootstrap(market)
     with pytest.raises(ValueError):
-        market.sell_surplus(USERS[0].address, TokenAmount.zero(), ledger, 0.0)
+        market.sell_surplus(USERS[0], TokenAmount.zero(), ledger, 0.0)
 
 
 def test_sell_more_than_balance_rejected():
     market = Market()
     ledger = bootstrap(market, "30.00")
     with pytest.raises(InsufficientTokens):
-        market.sell_surplus(USERS[0].address, tok("11.00"), ledger, 0.0)
+        market.sell_surplus(USERS[0], tok("11.00"), ledger, 0.0)
 
 
 def test_sale_replenishes_pool_for_later_purchase():
@@ -225,11 +219,11 @@ def test_sale_replenishes_pool_for_later_purchase():
     market = Market()
     ledger = bootstrap(market, "60.00", initial_pool=tok("1.00"))  # 20.00 each
     # user-1 sells 15.00 into the pool
-    sale = market.sell_surplus(USERS[1].address, tok("15.00"), ledger, 1.0)
+    sale = market.sell_surplus(USERS[1], tok("15.00"), ledger, 1.0)
     ledger = commit(ledger, [sale])
     assert market.pool(ledger) == tok("16.00")
     # user-0 then needs a 12.00 purchase the original pool could not cover
-    txs = market.settle_trip(USERS[0].address, tok("32.00"), ledger, 2.0,
+    txs = market.settle_trip(USERS[0], tok("32.00"), ledger, 2.0,
                              description="trip:t2")
     assert txs[0].kind is TxKind.PURCHASE and txs[0].amount == tok("12.00")
     ledger = commit(ledger, txs)
@@ -271,16 +265,16 @@ def test_cap_accounting_identity_after_a_scripted_day():
     market = Market()
     ledger = bootstrap(market, "90.00")  # 30.00 each
     script = [
-        market.settle_trip(USERS[0].address, tok("12.00"), ledger, 1.0, "trip:a"),
+        market.settle_trip(USERS[0], tok("12.00"), ledger, 1.0, "trip:a"),
     ]
     ledger = commit(ledger, script[0])
-    txs = market.settle_trip(USERS[1].address, tok("44.00"), ledger, 2.0, "trip:b")
+    txs = market.settle_trip(USERS[1], tok("44.00"), ledger, 2.0, "trip:b")
     ledger = commit(ledger, txs)
-    sale = market.sell_surplus(USERS[2].address, tok("30.00"), ledger, 3.0)
+    sale = market.sell_surplus(USERS[2], tok("30.00"), ledger, 3.0)
     ledger = commit(ledger, [sale])
 
     cap = tok("90.00")
     payments = committed(ledger, TxKind.TRIP_PAYMENT)
-    leftovers = total(ledger.balance(u.address) for u in USERS)
+    leftovers = total(ledger.balance(u) for u in USERS)
     sold, purchased = committed(ledger, TxKind.SALE), committed(ledger, TxKind.PURCHASE)
     assert payments + leftovers + sold == cap + purchased

@@ -19,7 +19,7 @@ from carbonledger.cli import main as cli_main
 from carbonledger.emissions import Mode
 from carbonledger.ledger import (TxKind, _tx_from_obj, block_to_line, export_chain,
                                  import_chain, validate_stateless, verify_chain)
-from carbonledger.market import Market
+from carbonledger.market import MARKET_ADDRESS, RETIREMENT_ADDRESS
 from carbonledger.population import load_profile, write_population, generate_synthetic
 from carbonledger.simulator import (
     MetricsReport,
@@ -90,8 +90,8 @@ def test_conservation_wallets_retired_pool_equals_minted(day):
     ledger = day.ledger
     assert sum(ledger.balances.values()) == ledger.minted_centi
     user_total = sum(ledger.balance(a).centi for a in day.user_addresses.values())
-    pool = ledger.balance(Market.address).centi
-    retired = ledger.balance(Market.retirement_address).centi
+    pool = ledger.balance(MARKET_ADDRESS).centi
+    retired = ledger.balance(RETIREMENT_ADDRESS).centi
     assert user_total + pool + retired == ledger.minted_centi
 
 
@@ -233,7 +233,7 @@ def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):
                       for row in csv.DictReader(fh))
     assert charged == paid
     # ... which, with the operator payments, are what was retired
-    retired = result.ledger.balance(Market.retirement_address).centi
+    retired = result.ledger.balance(RETIREMENT_ADDRESS).centi
     assert paid + operator == retired
 
     # the costly trips left unpaid are exactly the failed pools' trips: each
@@ -253,7 +253,7 @@ def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):
     unpaid = [t for t in result.trips if result.trip_costs[t.trip_id][1].centi > 0
               and result.trip_payments[t.trip_id].centi == 0]
     assert pools and len(pools) == len(unpaid) == len(payments)
-    retirement = Market.retirement_address
+    retirement = RETIREMENT_ADDRESS
     for t in unpaid:
         tx = payments[_settlement_description(t)]
         assert (tx.sender, tx.receiver, tx.amount) == (
