@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 chain verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -112,7 +113,7 @@ def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     try:
         chain, manifest = _load_run_dir(run_dir)
-        hashes = simulator.input_hashes(run_dir)
+        inputs = simulator.read_report_inputs(run_dir)
     except (MissingArtifact, OSError, ValueError,
             ledger_mod.ParseError, json.JSONDecodeError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
@@ -128,15 +129,19 @@ def cmd_report(args) -> int:
     recorded = manifest.get("inputs")
     if not isinstance(recorded, dict):
         recorded = {}
-    changed = [name for name, sha in hashes.items() if recorded.get(name) != sha]
+    changed = [name for name, sha in simulator.input_hashes(inputs).items()
+               if recorded.get(name) != sha]
     if changed:
         return _fail(Exception("provenance check failed: manifest input hash does not "
                                f"match {', '.join(changed)}"), EXIT_PROVENANCE)
 
     try:
-        # each trip is charged the tokens it paid on the verified chain
-        persons, trips, _ = population.load_population(
-            run_dir / "population" / "persons.csv", run_dir / "population" / "trips.csv")
+        # each trip is charged the tokens it paid on the verified chain; the
+        # population is parsed, as `open` would decode it, from the bytes
+        # that were hashed
+        persons, trips, _ = population.load_population(*(
+            io.TextIOWrapper(io.BytesIO(inputs[name]), newline="")
+            for name in ("population/persons.csv", "population/trips.csv")))
         addresses = {p.user_id: ledger_mod.derive_address(p.user_id) for p in persons}
         day = analytics.DayRecord(persons, trips,
                                   simulator.trip_payments(addresses, trips, chain),

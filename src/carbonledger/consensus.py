@@ -24,6 +24,16 @@ Timing model (all simulated; link delays configured in milliseconds):
   (the (quorum−1)-th order statistic of n−1 uniform link delays);
 * the round times out ``2 × p99 link delay`` after the vote phase starts.
 
+Decision order: the rule above is applied at the creator first.  A node
+counts a hash at most once per voter that cast it, so only a hash cast by
+a quorum can commit anywhere.  When exactly one hash was, it is a proposal
+and its creator is honest, `tally_votes` runs at the creator alone, and if
+the creator commits the round is decided there, in O(ballots).  Every
+other round (a byzantine creator, a creator short of quorum, no single
+quorum hash) counts first votes at every node with `count_first_votes`,
+in O(ballots × n), and decides as the rule states.  Either way the round
+draws its n² deliveries in `simulate_network`.
+
 Draw order: each round calls `simulate_network` twice, for the proposal
 and then the votes, and both calls draw from the one round rng.  A
 broadcast goes to every validator in validator order.  The proposal is one
@@ -51,6 +61,7 @@ is in effect ``silent``.  With ``lo = 0`` its sends sometimes land on time.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import add
@@ -235,6 +246,14 @@ def count_first_votes(
     return counts, late_or_dropped
 
 
+def _arrivals_at(j: int, votes: Sequence[tuple[str, str]],
+                 rows: Sequence[Sequence[Optional[float]]],
+                 deadline: float) -> list[tuple[float, str, str]]:
+    """The ``(time, voter, hash)`` votes that reached node `j` by `deadline`."""
+    return [(t, voter, h) for (voter, h), row in zip(votes, rows)
+            if (t := row[j]) is not None and t <= deadline]
+
+
 @dataclass
 class RoundResult:
     decision: Decision
@@ -281,8 +300,13 @@ def run_round(
     """Propose, broadcast, vote and tally once among the ledger's validators;
     apply the block on commit.
 
-    On ``no_quorum`` or ``round_timeout`` the input ledger is returned
-    unchanged and the caller retries with the pool intact.
+    The decision tallies the creator first: when its honest creator's
+    proposal is the one hash cast by a quorum and the creator commits it,
+    the round is decided at the creator in O(ballots); otherwise first
+    votes are counted at every node, in O(ballots × n), and the anchor is
+    the creator or the earliest honest committer (see the module
+    docstring).  On ``no_quorum`` or ``round_timeout`` the input ledger is
+    returned unchanged and the caller retries with the pool intact.
     """
     validators = ledger.validators
     n = len(validators)
@@ -339,58 +363,70 @@ def run_round(
     votes = [(v, h) for v, hashes in ballots for h in hashes]
     vote_rows = simulate_network(
         [(v, prop_deadline) for v, _ in votes], validators, network, rng)
+    n_messages = n * (len(prop_rows) + len(vote_rows))
     n_dropped = sum(row.count(None) for rows in (prop_rows, vote_rows) for row in rows)
 
-    # --- a node commits the hash whose count there reaches quorum ---
+    # --- decision: only a hash cast by a quorum of voters can commit anywhere,
+    # since a node counts a hash at most once per voter that cast it.  When
+    # that is one proposal from an honest creator, the creator is tallied
+    # first; every node is counted only when the creator does not commit ---
     quorum = ledger.quorum
-    counts, late_or_dropped = count_first_votes(ballots, vote_rows, round_deadline)
-    committers: dict[str, list[int]] = {}  # hash -> the honest nodes that commit it
-    max_count = 0
-    for block_hash, per_node in counts.items():
-        top = max(per_node)
-        max_count = max(max_count, top)
-        if top >= quorum:
-            nodes = [j for j, c in enumerate(per_node)
-                     if c >= quorum and validators[j] not in byzantine]
-            if nodes:
-                committers[block_hash] = nodes
+    cast = Counter(h for _, hashes in ballots for h in hashes)
+    contenders = [h for h, c in cast.items() if c >= quorum]
+    anchor: Optional[Tally] = None
+    if len(contenders) == 1 and contenders[0] in proposals and proposer not in byzantine:
+        tally = tally_votes(_arrivals_at(round_no % n, votes, vote_rows, round_deadline),
+                            quorum)
+        if tally.block_hash is not None:
+            anchor, fork_hashes = tally, (tally.block_hash,)
+    if anchor is None:
+        counts, late_or_dropped = count_first_votes(ballots, vote_rows, round_deadline)
+        committers: dict[str, list[int]] = {}  # hash -> the honest nodes that commit it
+        max_count = 0
+        for block_hash, per_node in counts.items():
+            top = max(per_node)
+            max_count = max(max_count, top)
+            if top >= quorum:
+                nodes = [j for j, c in enumerate(per_node)
+                         if c >= quorum and validators[j] not in byzantine]
+                if nodes:
+                    committers[block_hash] = nodes
 
-    # Safety, whatever `unsafe_faults` says: an equivocating proposer's two
-    # variants go to disjoint voter sets and 2·ceil(2n/3) > n, so at most one
-    # of them reaches quorum; each fabricated vote hash has one voter, so it
-    # reaches quorum only when n = 1, and then its one node is not honest.
-    # Every honest commit is therefore one hash, and that hash was proposed.
-    fork_hashes = tuple(sorted(committers))
-    if len(fork_hashes) > 1:
-        raise SafetyViolation(f"round {round_no}: distinct commits {fork_hashes}")
-
-    final, new_ledger, commit_time = None, ledger, None
-    if not committers:
-        # round_timeout: a quorum was cast but votes were lost or late;
-        # no_quorum: the cast votes could never have formed one, or split
-        outcome = ("round_timeout" if len(ballots) >= quorum and late_or_dropped
-                   else "no_quorum")
-        decision = Decision(round_no, outcome, None, max_count)
-    else:
-        block = proposals[fork_hashes[0]]
+        # Safety, whatever `unsafe_faults` says: an equivocating proposer's
+        # two variants go to disjoint voter sets and 2·ceil(2n/3) > n, so at
+        # most one of them reaches quorum; each fabricated vote hash has one
+        # voter, so it reaches quorum only when n = 1, and then its one node
+        # is not honest.  Every honest commit is therefore one hash, and that
+        # hash was proposed.
+        fork_hashes = tuple(sorted(committers))
+        if len(fork_hashes) > 1:
+            raise SafetyViolation(f"round {round_no}: distinct commits {fork_hashes}")
+        if not committers:
+            # round_timeout: a quorum was cast but votes were lost or late;
+            # no_quorum: the cast votes could never have formed one, or split
+            outcome = ("round_timeout" if len(ballots) >= quorum and late_or_dropped
+                       else "no_quorum")
+            return RoundResult(
+                Decision(round_no, outcome, None, max_count), None, ledger, None,
+                proposer, fork_hashes, equivocations, n_messages, n_dropped,
+            )
         # the commit instant is taken at the winning block's creator when it
         # committed itself, otherwise at the earliest honest observer
-        nodes = committers[block.block_hash]
-        creator = validators.index(block.creator)
+        nodes = committers[fork_hashes[0]]
+        creator = validators.index(proposals[fork_hashes[0]].creator)
         tallies = {validators[j]: tally_votes(
-            [(t, voter, h) for (voter, h), row in zip(votes, vote_rows)
-             if (t := row[j]) is not None and t <= round_deadline], quorum)
+            _arrivals_at(j, votes, vote_rows, round_deadline), quorum)
             for j in ([creator] if creator in nodes else nodes)}
         anchor = min(tallies.items(),
                      key=lambda kv: (kv[1].commit_time, kv[0], kv[1].voters))[1]
-        final = with_signatures(block, (
-            (addr, block_attestation(addr, block.block_hash)) for addr in anchor.voters))
-        new_ledger = ledger.apply_block(final)
-        commit_time = anchor.commit_time
-        decision = Decision(round_no, "committed", block.block_hash, len(anchor.voters))
+
+    block = proposals[anchor.block_hash]
+    final = with_signatures(block, (
+        (addr, block_attestation(addr, block.block_hash)) for addr in anchor.voters))
+    decision = Decision(round_no, "committed", block.block_hash, len(anchor.voters))
     return RoundResult(
-        decision, final, new_ledger, commit_time, proposer, fork_hashes, equivocations,
-        n * (len(prop_rows) + len(vote_rows)), n_dropped,
+        decision, final, ledger.apply_block(final), anchor.commit_time, proposer,
+        fork_hashes, equivocations, n_messages, n_dropped,
     )
 
 

@@ -11,11 +11,12 @@ index or minted total folds its chain, and reading `chain`, `head` or
 `height` folds nothing.  The values derived with `apply_block` share one
 wallet map, tx index and block list, and the value derived last owns them,
 so a commit costs O(block) rather than O(wallets + height).  Each value
-keeps its parent and its head block.  Reading a value that does not own the
-shared state (one that has since been extended, or a sibling derived from
-the same parent) refolds its chain from its root's state in O(height); the
-value then owns that fresh copy.  A root's state is never written after its
-fold, so every refold starts from it.
+keeps its parent and its head block.  Reading the wallet state of a value
+that does not own the shared state (one that has since been extended, or a
+sibling derived from the same parent) refolds its chain from its root's
+state in O(height); the value then owns that fresh copy.  Its `chain` is
+read through the parent links and folds nothing.  A root's state is never
+written after its fold, so every refold starts from it.
 
 `balances` and `tx_index` are read-only views of the maps a value owns.  A
 view shows the value's state until that value is extended with
@@ -28,9 +29,10 @@ transaction into a balance map: a root's first read, `apply_block`,
 it.  It never refuses a transfer; each caller checks the sender's balance
 as it needs to (reject the transaction, raise, or report a violation).
 
-`export_chain` writes a chain to an open text file one block line at a
-time, and `import_chain` reads an open file one line at a time, so neither
-holds the whole export as text.  Bytes that are not UTF-8 raise
+`export_chain` writes a chain to an open text file one transaction's JSON
+at a time, and `import_chain` reads an open file one line at a time, so
+neither holds the whole export as text, and the export holds no whole
+block line either.  Bytes that are not UTF-8 raise
 `UnicodeDecodeError` from whichever line holds them; the caller that opened
 the file reports it (the CLI exits 2 for it, as for any malformed export).
 
@@ -49,7 +51,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .tokens import TokenAmount
 
@@ -318,8 +320,15 @@ class Ledger:
 
     @property
     def chain(self) -> tuple[Block, ...]:
-        # an unread root's blocks are its chain, and they need no fold
-        return tuple(self._blocks if self._balances is None else self._state()[2])
+        # a root's blocks, and those of the value that owns shared state, are
+        # its chain; a superseded value walks its parents to the nearest such
+        # value, and nothing is folded
+        heads = []
+        node = self
+        while node._parent is not None and node._blocks[-1] is not node._head:
+            heads.append(node._head)
+            node = node._parent
+        return tuple(node._blocks) + tuple(reversed(heads))
 
     @property
     def minted_centi(self) -> int:
@@ -674,23 +683,35 @@ def _tx_from_obj(obj: dict) -> TokenTransaction:
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-def block_to_line(block: Block) -> str:
-    obj = {
+def _block_fragments(block: Block) -> Iterator[str]:
+    """A block's compact JSON object in pieces: the fields before `txs`, then
+    each transaction's JSON, then the closing brackets.  Joined, they are
+    what one `json.dumps` of the whole object gives."""
+    head = _COMPACT_JSON.encode({
         "height": block.height,
         "prev_hash": block.prev_hash,
         "creator": block.creator,
         "block_hash": block.block_hash,
         "signatures": [list(sig) for sig in block.signatures],
-        "txs": [_tx_to_obj(tx) for tx in block.txs],
-    }
-    return _COMPACT_JSON.encode(obj)
+    })
+    yield head[:-1] + ',"txs":['
+    sep = ""
+    for tx in block.txs:
+        yield sep + _COMPACT_JSON.encode(_tx_to_obj(tx))
+        sep = ","
+    yield "]}"
+
+
+def block_to_line(block: Block) -> str:
+    return "".join(_block_fragments(block))
 
 
 def export_chain(ledger: Ledger, out: TextIO) -> None:
     """Write newline-delimited JSON to `out`, one block per line, digests
-    hex-lowercase."""
+    hex-lowercase, one transaction at a time."""
     for block in ledger.chain:
-        out.write(block_to_line(block) + "\n")
+        out.writelines(_block_fragments(block))
+        out.write("\n")
 
 
 def import_chain(source: str | TextIO) -> Ledger:

@@ -22,13 +22,14 @@ import json
 import math
 import random
 from bisect import bisect
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .emissions import FieldError, Mode, TripRecord
 
@@ -143,10 +144,26 @@ def _parse_bool(text: str) -> bool:
 _trip_order = attrgetter("start_time", "trip_id")
 
 
+@contextmanager
+def _csv_rows(source: str | Path | TextIO) -> Iterator[Iterator[list[str]]]:
+    """The rows of a CSV file given by path (opened with ``newline=""`` and
+    closed on exit) or of an open text stream.  A line the csv module cannot
+    read (a field past its size limit, or before Python 3.11 a NUL byte) is
+    a schema error."""
+    with (open(source, newline="") if isinstance(source, (str, Path))
+          else nullcontext(source)) as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise SchemaError(reader.line_num, "row", str(exc)) from exc
+
+
 def load_population(
-    persons_path: str | Path, trips_path: str | Path
+    persons_path: str | Path | TextIO, trips_path: str | Path | TextIO
 ) -> tuple[list[SurveyPerson], list[TripRecord], list[RejectedRow]]:
-    """Load and cross-check both files; trips come back sorted by start time.
+    """Load and cross-check both files, given as paths or as open text
+    streams; trips come back sorted by start time.
 
     A row whose `user_id` (persons) or `trip_id` (trips) an earlier kept row
     already holds is rejected, so each id names one person or one trip.  A
@@ -158,8 +175,7 @@ def load_population(
     user_rows: dict[str, int] = {}  # user_id -> row of the person kept under it
     rejected_rows: dict[str, int] = {}  # user_id -> first rejected row holding it
 
-    with open(persons_path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_rows(persons_path) as reader:
         header = next(reader, None)
         if header != PERSONS_HEADER:
             raise SchemaError(0, "header", f"expected {PERSONS_HEADER}, got {header}")
@@ -202,8 +218,7 @@ def load_population(
 
     trips: list[TripRecord] = []
     trip_rows: dict[str, int] = {}  # trip_id -> row of the trip kept under it
-    with open(trips_path, newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_rows(trips_path) as reader:
         header = next(reader, None)
         if header != TRIPS_HEADER:
             raise SchemaError(0, "header", f"expected {TRIPS_HEADER}, got {header}")
@@ -277,6 +292,8 @@ def load_profile(path: Optional[str | Path] = None) -> dict:
     else:
         text = Path(path).read_text()
     profile = json.loads(text)
+    if not isinstance(profile, dict):
+        raise ValueError("profile is not a JSON object")
     required = {"age_shares", "gender_shares", "employment_shares_by_age",
                 "student_shares_by_age", "occupation_shares_employed",
                 "licence_rate_by_age", "household_size_shares",
@@ -346,11 +363,22 @@ def generate_synthetic(
     per distribution.  That is the draw `random.choices(labels, weights, k=1)`
     makes, so it consumes the same numbers and raises the same errors.  The
     draw order is fixed, so one seed always yields the same population
-    regardless of platform.
+    regardless of platform.  A profile the draws cannot use (a missing
+    table, a weight that is not a number, a zero speed) raises ValueError.
     """
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     prof = profile if profile is not None else load_profile()
+    try:
+        return _synthesize(seed, n_users, prof)
+    except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+        # a profile is input: a table it lacks or cannot be drawn from is
+        # malformed input, as a bad weight already is
+        raise ValueError(f"profile cannot be drawn from: {type(exc).__name__}: {exc}") from exc
+
+
+def _synthesize(seed: int, n_users: int, prof: dict
+                ) -> tuple[list[SurveyPerson], list[TripRecord]]:
     rng = random.Random(seed)
     uniform, gauss, rand = rng.uniform, rng.gauss, rng.random
     lo_m, hi_m = prof.get("distance_m_bounds", [150, 60000])

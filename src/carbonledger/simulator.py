@@ -413,10 +413,15 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
 REPORT_INPUTS = ("population/persons.csv", "population/trips.csv", "run_config.json")
 
 
-def input_hashes(run_dir: Path) -> dict[str, str]:
-    """sha256 of each of the run directory's `REPORT_INPUTS`."""
-    return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-            for name in REPORT_INPUTS}
+def read_report_inputs(run_dir: Path) -> dict[str, bytes]:
+    """The bytes of each of the run directory's `REPORT_INPUTS`, each file
+    read once, so that what is hashed is what is parsed."""
+    return {name: (run_dir / name).read_bytes() for name in REPORT_INPUTS}
+
+
+def input_hashes(inputs: Mapping[str, bytes]) -> dict[str, str]:
+    """sha256 of each file's bytes, by name."""
+    return {name: hashlib.sha256(data).hexdigest() for name, data in inputs.items()}
 
 
 def export_failed_pools(pools: Sequence[FailedPool]) -> str:
@@ -464,6 +469,6 @@ def write_artifacts(result: SimulationResult, out_dir: str | Path) -> None:
         "config_hash": result.config.config_hash(),
         "ledger_head": result.ledger.head.block_hash,
         "hash_algorithm": HASH_ALGORITHM,
-        "inputs": input_hashes(out),
+        "inputs": input_hashes(read_report_inputs(out)),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -7,14 +7,16 @@ import io
 import json
 import random
 import shutil
+import sys
 import tempfile
+import types
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from carbonledger import ledger as ledger_mod
+from carbonledger import ledger as ledger_mod, simulator
 from carbonledger.cli import main
 from carbonledger.ledger import ParseError, TxKind, import_chain, verify_chain
 from carbonledger.tokens import TokenAmount
@@ -398,6 +400,56 @@ def test_report_changed_input_exits_3(tmp_path, capsys, tamper, named):
     assert "provenance" in detail and named in detail
 
 
+def test_report_parses_the_population_bytes_it_hashed(tmp_path, capsys, monkeypatch):
+    run_cli(capsys, "simulate", "-c", str(base_config(tmp_path)))
+    run_dir = tmp_path / "out"
+    reports = run_dir / "reports"
+    assert run_cli(capsys, "report", str(run_dir))[0] == 0
+    original = {p.name: p.read_bytes() for p in reports.glob("*.csv")}
+    shutil.rmtree(reports)
+
+    # trips.csv is replaced the moment its bytes have been hashed
+    trips = (run_dir / "population" / "trips.csv").read_bytes()
+    sha256 = hashlib.sha256
+
+    def hash_then_replace(data=b"", **kwargs):
+        digest = sha256(data, **kwargs)
+        if data == trips:
+            append_car_trip(run_dir)
+        return digest
+
+    monkeypatch.setattr(simulator, "hashlib", types.SimpleNamespace(sha256=hash_then_replace))
+    assert run_cli(capsys, "report", str(run_dir))[0] == 0
+    assert (run_dir / "population" / "trips.csv").read_bytes() != trips
+    assert {p.name: p.read_bytes() for p in reports.glob("*.csv")} == original
+
+
+OPENED = None  # the paths opened while a test records them, else None
+
+
+def _record_open(event, args):
+    if event == "open" and OPENED is not None:
+        OPENED.append(str(args[0]))
+
+
+sys.addaudithook(_record_open)  # an audit hook stays for the whole process
+
+
+def test_report_opens_each_population_file_once(tmp_path, capsys):
+    global OPENED
+    run_cli(capsys, "simulate", "-c", str(base_config(tmp_path)))
+    run_dir = tmp_path / "out"
+    OPENED = []
+    try:
+        code = run_cli(capsys, "report", str(run_dir))[0]
+        opened = collections.Counter(OPENED)
+    finally:
+        OPENED = None
+    assert code == 0
+    for name in simulator.REPORT_INPUTS:
+        assert opened[str(run_dir / name)] == 1, name
+
+
 def test_report_reads_no_factor_table(tmp_path, capsys):
     # reports charge the tokens paid on chain, so the factor table the run
     # priced trips with may change or go once the run is done
@@ -617,3 +669,94 @@ def test_corrupt_run_dir_exits_with_a_contract_code(faulty_run, tmp_path, name, 
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2, 3), argv[0]
+
+
+@pytest.fixture(scope="module")
+def day_inputs(tmp_path_factory):
+    """A small config, the persons/trips pair it reads and a profile, as bytes."""
+    root = tmp_path_factory.mktemp("inputs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--seed", "3", "--n-users", "8", "--out", str(root)]) == 0
+    config = {"seed": 7, "n_active_nodes": 4, "drop_probability": 0.1,
+              "persons_file": "persons.csv", "trips_file": "trips.csv"}
+    return {"config.json": json.dumps(config, indent=1).encode(),
+            "synthetic.json": json.dumps({"seed": 7, "synthetic_users": 12}).encode(),
+            "persons.csv": (root / "persons.csv").read_bytes(),
+            "trips.csv": (root / "trips.csv").read_bytes(),
+            "profile.json": resources.files("carbonledger.data").joinpath(
+                "default_profile.json").read_bytes()}
+
+
+def write_inputs(work, files):
+    """Write `files` into `work`, the config pointing at the population there."""
+    for name, content in files.items():
+        if name == "config.json":
+            content = content.replace(
+                b'"persons.csv"', json.dumps(str(work / "persons.csv")).encode()).replace(
+                b'"trips.csv"', json.dumps(str(work / "trips.csv")).encode())
+        (work / name).write_bytes(content)
+
+
+def corrupt_profile(edit):
+    def apply(raw):
+        profile = json.loads(raw)
+        edit(profile)
+        return json.dumps(profile).encode()
+    return apply
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    # the csv module raises its own error (not a ValueError) for a field
+    # past its size limit, and before Python 3.11 for a NUL byte
+    ("persons.csv", lambda raw: raw.replace(b"female", b"f" * 200_000, 1)),
+    ("trips.csv", lambda raw: raw + b"t-big,u00001,car,1.0,2.0,3.0,1," + b"v" * 200_000),
+    ("profile.json", lambda raw: b"[1, 2]"),
+    ("profile.json", lambda raw: b"7"),
+    ("profile.json", corrupt_profile(lambda p: p["mode_shares_by_age"].pop("40_59"))),
+    ("profile.json", corrupt_profile(lambda p: p["gender_shares"].update(male="0.49"))),
+    ("profile.json", corrupt_profile(lambda p: p["speed_kmh_by_mode"].update(car=[0, 0]))),
+    ("profile.json", corrupt_profile(lambda p: p.update(distance_m_lognormal_by_mode={
+        mode: [1e6, 0.5] for mode in p["distance_m_lognormal_by_mode"]}))),
+])
+def test_simulate_and_synth_input_faults_exit_2(day_inputs, tmp_path, capsys, name, corrupt):
+    files = dict(day_inputs)
+    files[name] = corrupt(files[name])
+    write_inputs(tmp_path, files)
+    runs = ([["synth", "--n-users", "12", "--profile", str(tmp_path / "profile.json"),
+              "--out", str(tmp_path / "population")],
+             ["simulate", "-c", str(tmp_path / "synthetic.json"), "--profile",
+              str(tmp_path / "profile.json"), "--out", str(tmp_path / "synthetic")]]
+            if name == "profile.json" else
+            [["simulate", "-c", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")]])
+    for argv in runs:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv[0]
+        assert "detail" in json.loads(err.strip())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["config.json", "persons.csv", "trips.csv", "profile.json"]),
+       data=st.data())
+def test_corrupt_inputs_to_simulate_and_synth_exit_0_or_2(day_inputs, tmp_path, name, data):
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    files = dict(day_inputs)
+    raw = bytearray(files[name])
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                               min_size=1, max_size=4), label="edits")
+    for pos, byte in edits:
+        raw[pos] = byte
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw)), label="length")]
+    files[name] = bytes(raw)
+    write_inputs(work, files)
+    runs = ([["synth", "--n-users", "12", "--profile", str(work / "profile.json"),
+              "--out", str(work / "population")],
+             ["simulate", "-c", str(work / "synthetic.json"), "--profile",
+              str(work / "profile.json"), "--out", str(work / "synthetic")]]
+            if name == "profile.json" else
+            [["simulate", "-c", str(work / "config.json"), "--out", str(work / "run")]])
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2), argv[0]

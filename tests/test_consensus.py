@@ -7,10 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carbonledger import consensus
 from carbonledger.consensus import (
     Behavior,
     ConsensusEngine,
     NetworkModel,
+    SafetyViolation,
     UnsafeFaultConfig,
     count_first_votes,
     run_round,
@@ -20,8 +22,10 @@ from carbonledger.consensus import (
 from carbonledger.ledger import (
     Ledger,
     TxKind,
+    build_block,
     create_genesis,
     derive_address,
+    digest,
     make_transaction,
     max_faulty,
     quorum_size,
@@ -367,6 +371,169 @@ def test_commit_latency_matches_order_statistic_expectation():
         samples.append(result.commit_time * 1000.0)
     mean = sum(samples) / len(samples)
     assert abs(mean - expected_ms) / expected_ms < 0.05
+
+
+# --- the decision against the all-node anchor rule ---
+
+LEDGERS = {}
+
+
+def genesis_of(n):
+    """A 4-user genesis among `n` validators, built once per size."""
+    if n not in LEDGERS:
+        validators = [derive_address(f"validator-{i}") for i in range(n)]
+        allocs = [make_transaction(0.0, MINT, u, TokenAmount(100_000), TxKind.ALLOCATION)
+                  for u in USERS]
+        LEDGERS[n] = create_genesis(validators, allocs)
+    return LEDGERS[n]
+
+
+def all_node_decision(pool, ledger, net, round_no, start_time, sent):
+    """The anchor rule applied at every node, from the two network calls a
+    round made (`sent`: their broadcasts and rows).
+
+    Each honest node commits the hash whose count of first on-time votes
+    there reaches quorum; the anchor is the creator's tally when it
+    committed, otherwise the earliest committer's.  Returns (outcome, block
+    hash, votes counted, fork hashes, commit time, sorted signers), or
+    "fork" for two committed hashes.
+    """
+    validators, byz = ledger.validators, net.byzantine
+    n, quorum = len(validators), ledger.quorum
+    proposer = validators[round_no % n]
+    prop_deadline, round_deadline = net.deadlines(start_time)
+    (_, prop_rows), (vote_sends, vote_rows) = sent
+
+    # every proposal is valid here, so a validator's candidate is what
+    # reached it by the proposal deadline
+    proposals, candidate = {}, {}
+    if prop_rows:
+        block = build_block(pool, proposer, ledger.head)
+        variant = (build_block(list(pool)[:-1], proposer, ledger.head)
+                   if byz.get(proposer) is Behavior.EQUIVOCATE and len(pool) > 1 else None)
+        proposals = {b.block_hash: b for b in (block, variant) if b is not None}
+        for i, (v, t) in enumerate(zip(validators, prop_rows[0])):
+            if t is not None and t <= prop_deadline:
+                candidate[v] = variant if variant is not None and i % 2 else block
+    ballots = []
+    for v in validators:
+        if byz.get(v) is Behavior.SILENT or v not in candidate:
+            continue
+        choice = candidate[v].block_hash
+        ballots.append((v, (choice, digest("equivocation", v, str(round_no)))
+                        if byz.get(v) is Behavior.EQUIVOCATE else (choice,)))
+    votes = [(v, h) for v, hashes in ballots for h in hashes]
+    assert vote_sends == [(v, prop_deadline) for v, _ in votes]
+
+    counts, late_or_dropped = count_first_votes(ballots, vote_rows, round_deadline)
+    committers = {h: nodes for h, per_node in counts.items()
+                  if (nodes := [j for j, c in enumerate(per_node)
+                                if c >= quorum and validators[j] not in byz])}
+    if len(committers) > 1:
+        return "fork"
+    if not committers:
+        outcome = ("round_timeout" if len(ballots) >= quorum and late_or_dropped
+                   else "no_quorum")
+        best = max((max(per_node) for per_node in counts.values()), default=0)
+        return outcome, None, best, (), None, None
+    (block_hash, nodes), = committers.items()
+    creator = validators.index(proposals[block_hash].creator)
+
+    def tally_at(j):
+        return tally_votes([(row[j], v, h) for (v, h), row in zip(votes, vote_rows)
+                            if row[j] is not None and row[j] <= round_deadline], quorum)
+
+    tallies = [(validators[j], tally_at(j))
+               for j in ([creator] if creator in nodes else nodes)]
+    anchor = min(tallies, key=lambda kv: (kv[1].commit_time, kv[0], kv[1].voters))[1]
+    assert anchor.block_hash == block_hash
+    return ("committed", block_hash, len(anchor.voters), (block_hash,),
+            anchor.commit_time, tuple(sorted(anchor.voters)))
+
+
+@st.composite
+def rounds(draw):
+    """One round's network and pool: up to 32 validators, drops, links that
+    may start at 0 ms (so `delay` votes can land), and silent, equivocating
+    and delay nodes, within the fault bound or beyond it with
+    `unsafe_faults`."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 10, 16, 32]))
+    ledger = genesis_of(n)
+    unsafe = draw(st.booleans())
+    kinds = draw(st.lists(st.sampled_from(
+        [None, None, None, Behavior.SILENT, Behavior.EQUIVOCATE, Behavior.DELAY]),
+        min_size=n, max_size=n))
+    byz = {v: kind for v, kind in zip(ledger.validators, kinds) if kind is not None}
+    if not unsafe:
+        byz = dict(list(byz.items())[:max_faulty(n)])
+    lo = draw(st.sampled_from([0.0, 5.0, 10.0]))
+    net = NetworkModel(lo, lo + draw(st.sampled_from([0.0, 10.0, 20.0])),
+                       drop_probability=draw(st.sampled_from([0.0, 0.05, 0.1, 0.3])),
+                       byzantine=byz, unsafe_faults=unsafe)
+    pool = make_pool(ledger, n=draw(st.integers(1, 3)))
+    return (pool, ledger, net, draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(0, 63)), draw(st.sampled_from([0.0, 37.5])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rounds())
+def test_decision_matches_the_all_node_anchor_rule(world):
+    pool, ledger, net, seed, round_no, start = world
+    sent = []
+    network = consensus.simulate_network
+
+    def recording(broadcasts, dsts, model, rng):
+        rows = network(broadcasts, dsts, model, rng)
+        sent.append((list(broadcasts), rows))
+        return rows
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consensus, "simulate_network", recording)
+        try:
+            r = run_round(pool, ledger, net, random.Random(seed), round_no, start)
+        except SafetyViolation:
+            r = None
+    expected = all_node_decision(pool, ledger, net, round_no, start, sent)
+    if r is None:
+        assert expected == "fork"
+        return
+    signers = None if r.block is None else tuple(addr for addr, _ in r.block.signatures)
+    assert (r.decision.outcome, r.decision.block_hash, r.decision.votes_counted,
+            r.fork_hashes, r.commit_time, signers) == expected
+    assert r.ledger.height == ledger.height + (r.block is not None)
+
+
+def count_calls(monkeypatch):
+    calls = []
+    counting = consensus.count_first_votes
+
+    def wrapper(*args):
+        calls.append(args)
+        return counting(*args)
+
+    monkeypatch.setattr(consensus, "count_first_votes", wrapper)
+    return calls
+
+
+def test_honest_creator_decides_without_counting_every_node(monkeypatch):
+    ledger = genesis_of(32)
+    calls = count_calls(monkeypatch)
+    net = NetworkModel(drop_probability=0.05)
+    for round_no in range(20):
+        result = run_round(make_pool(ledger), ledger, net, random.Random(round_no),
+                           round_no, 0.0)
+        assert result.decision.outcome == "committed"
+    assert calls == []
+
+
+def test_equivocating_creator_is_decided_at_every_node(monkeypatch):
+    ledger = genesis_of(32)
+    calls = count_calls(monkeypatch)
+    net = NetworkModel(drop_probability=0.05,
+                       byzantine={ledger.validators[3]: Behavior.EQUIVOCATE})
+    # its two variants split the votes, so the creator's tally is not asked
+    run_round(make_pool(ledger, n=3), ledger, net, random.Random(1), 3, 0.0)
+    assert len(calls) == 1
 
 
 # --- exhaustive small-depth interleaving check ---

