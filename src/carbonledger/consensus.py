@@ -32,7 +32,10 @@ the creator commits the round is decided there, in O(ballots).  Every
 other round (a byzantine creator, a creator short of quorum, no single
 quorum hash) counts first votes at every node with `count_first_votes`,
 in O(ballots × n), and decides as the rule states.  Either way the round
-draws its n² deliveries in `simulate_network`.
+draws its n² deliveries in `simulate_network`, but it computes a vote's
+arrival only where a tally reads it: at the creator, one column of at most
+n arrivals (`Deliveries.column`); in the other rounds, every node's
+(`Deliveries.rows`).
 
 Draw order: each round calls `simulate_network` twice, for the proposal
 and then the votes, and both calls draw from the one round rng.  A
@@ -41,9 +44,11 @@ broadcast, or none from a silent proposer.  The votes are one broadcast per
 vote, voter by voter in validator order; an equivocator's chosen hash goes
 before its fabricated one.  A send to another node takes one
 ``rng.random()`` drop draw, only when the drop probability is above zero,
-and, if it is not dropped, one delay draw ``lo + (hi − lo) · rng.random()``
-(what ``random.uniform`` computes).  A send to oneself takes no draw and
-arrives at once.
+and, if it is not dropped, one delay draw ``u``.  A send to oneself takes no
+draw and arrives at once.  The draws are kept as drawn; a delivered send's
+arrival, ``send_time + (lo + (hi − lo) · u) · factor / 1000`` (the delay is
+what ``random.uniform`` computes, and ``factor`` is 5 for a ``delay`` sender,
+otherwise 1), is computed when a proposal check or a vote tally reads it.
 
 Faulty behaviors: ``silent`` nodes send nothing; ``equivocate`` nodes
 propose conflicting variants to different peers and cast conflicting
@@ -64,6 +69,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from operator import add
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -134,37 +140,79 @@ class NetworkModel:
             )
 
 
+class Deliveries(NamedTuple):
+    """The drawn deliveries of some broadcasts to `width` destinations.
+
+    `flat` holds one entry per send, broadcast by broadcast and each in
+    destination order: the delay draw ``u`` of a delivered send, None for a
+    dropped one, and 0.0 for a send to oneself (read as the send time).
+    `senders` holds each broadcast's ``(send_time, factor, own)``: its delay
+    factor and its sender's destination index, or -1.
+    """
+
+    flat: list[Optional[float]]
+    senders: list[tuple[float, float, int]]
+    width: int
+    lo: float
+    span: float
+
+    @property
+    def dropped(self) -> int:
+        return self.flat.count(None)
+
+    def column(self, j: int, deadline: float) -> list[Optional[float]]:
+        """Each broadcast's arrival at destination `j`, or None if it was
+        dropped or arrived after `deadline`."""
+        lo, span = self.lo, self.span
+        return [None if u is None
+                else t if (t := send_time if own == j
+                           else send_time + (lo + span * u) * factor / 1000.0) <= deadline
+                else None
+                for (send_time, factor, own), u in zip(self.senders, self.flat[j::self.width])]
+
+    def rows(self) -> list[list[Optional[float]]]:
+        """One row per broadcast of each destination's arrival, or None if
+        that send was dropped."""
+        lo, span, width, flat = self.lo, self.span, self.width, self.flat
+        rows = []
+        for b, (send_time, factor, own) in enumerate(self.senders):
+            row = [None if u is None else send_time + (lo + span * u) * factor / 1000.0
+                   for u in flat[b * width:(b + 1) * width]]
+            if own >= 0:
+                row[own] = send_time
+            rows.append(row)
+        return rows
+
+
 def simulate_network(
     broadcasts: Sequence[tuple[str, float]],
     dsts: Sequence[str],
     network: NetworkModel,
     rng: random.Random,
-) -> list[list[Optional[float]]]:
+) -> Deliveries:
     """Deliver each ``(src, send_time)`` broadcast to every one of `dsts`.
 
-    Returns one row per broadcast, holding each destination's arrival time
-    or None if that send was dropped.  Deterministic given the rng state:
-    broadcasts go out in the given order, each to `dsts` in order, and
-    consume draws as the module docstring states.
+    Deterministic given the rng state: broadcasts go out in the given
+    order, each to `dsts` in order, and consume draws as the module
+    docstring states.  Since a send to oneself takes no draw, the draws of
+    all other sends are taken in one pass and the self sends slotted in.
     """
-    lo, span = network.delay_ms_low, network.delay_ms_high - network.delay_ms_low
-    drop = network.drop_probability
+    index = {dst: j for j, dst in enumerate(dsts)}
     slow = {a for a, b in network.byzantine.items() if b is Behavior.DELAY}
-    draw = rng.random
-    rows: list[list[Optional[float]]] = []
-    for src, send_time in broadcasts:
-        # x * 1.0 == x exactly, so an unslowed delay is `lo + span * u` as drawn
-        factor = DELAY_FACTOR if src in slow else 1.0
-        if drop > 0:
-            rows.append([send_time if dst == src
-                         else None if draw() < drop
-                         else send_time + (lo + span * draw()) * factor / 1000.0
-                         for dst in dsts])
-        else:
-            rows.append([send_time if dst == src
-                         else send_time + (lo + span * draw()) * factor / 1000.0
-                         for dst in dsts])
-    return rows
+    # x * 1.0 == x exactly, so an unslowed delay is `lo + span * u` as drawn
+    senders = [(send_time, DELAY_FACTOR if src in slow else 1.0, index.get(src, -1))
+               for src, send_time in broadcasts]
+    width = len(dsts)
+    selves = [b * width + own for b, (_, _, own) in enumerate(senders) if own >= 0]
+    sends = len(senders) * width - len(selves)
+    drop, draw = network.drop_probability, rng.random
+    flat: list[Optional[float]] = (
+        [None if draw() < drop else draw() for _ in repeat(None, sends)] if drop > 0
+        else [draw() for _ in repeat(None, sends)])
+    for i in selves:
+        flat.insert(i, 0.0)
+    return Deliveries(flat, senders, width, network.delay_ms_low,
+                      network.delay_ms_high - network.delay_ms_low)
 
 
 @dataclass(frozen=True)
@@ -246,12 +294,11 @@ def count_first_votes(
     return counts, late_or_dropped
 
 
-def _arrivals_at(j: int, votes: Sequence[tuple[str, str]],
-                 rows: Sequence[Sequence[Optional[float]]],
+def _arrivals_at(j: int, votes: Sequence[tuple[str, str]], deliveries: Deliveries,
                  deadline: float) -> list[tuple[float, str, str]]:
     """The ``(time, voter, hash)`` votes that reached node `j` by `deadline`."""
-    return [(t, voter, h) for (voter, h), row in zip(votes, rows)
-            if (t := row[j]) is not None and t <= deadline]
+    return [(t, voter, h) for (voter, h), t in zip(votes, deliveries.column(j, deadline))
+            if t is not None]
 
 
 @dataclass
@@ -263,8 +310,15 @@ class RoundResult:
     proposer: str
     fork_hashes: tuple[str, ...]
     equivocations: list[tuple[str, int, tuple[str, ...]]]
-    n_messages: int
-    n_dropped: int
+    deliveries: tuple[Deliveries, Deliveries]  # the proposal's, then the votes'
+
+    @property
+    def n_messages(self) -> int:
+        return sum(len(d.flat) for d in self.deliveries)
+
+    @property
+    def n_dropped(self) -> int:
+        return sum(d.dropped for d in self.deliveries)
 
 
 def _equivocation_variant(pool: Sequence[TokenTransaction], creator: str,
@@ -330,13 +384,13 @@ def run_round(
         payloads = [variant if (variant is not None and i % 2 == 1) else block
                     for i in range(n)]
         broadcasts = [(proposer, start_time)]
-    prop_rows = simulate_network(broadcasts, validators, network, rng)
+    prop_sent = simulate_network(broadcasts, validators, network, rng)
 
     # each validator receives at most one proposal; each distinct proposal is
     # checked once however many validators receive it
     candidate: dict[str, Block] = {}
     verdicts: dict[str, bool] = {}
-    for row in prop_rows:
+    for row in prop_sent.rows():
         for dst, block, t in zip(validators, payloads, row):
             if t is None or t > prop_deadline:
                 continue
@@ -361,10 +415,8 @@ def run_round(
         else:
             ballots.append((v, (choice,)))
     votes = [(v, h) for v, hashes in ballots for h in hashes]
-    vote_rows = simulate_network(
+    vote_sent = simulate_network(
         [(v, prop_deadline) for v, _ in votes], validators, network, rng)
-    n_messages = n * (len(prop_rows) + len(vote_rows))
-    n_dropped = sum(row.count(None) for rows in (prop_rows, vote_rows) for row in rows)
 
     # --- decision: only a hash cast by a quorum of voters can commit anywhere,
     # since a node counts a hash at most once per voter that cast it.  When
@@ -375,12 +427,12 @@ def run_round(
     contenders = [h for h, c in cast.items() if c >= quorum]
     anchor: Optional[Tally] = None
     if len(contenders) == 1 and contenders[0] in proposals and proposer not in byzantine:
-        tally = tally_votes(_arrivals_at(round_no % n, votes, vote_rows, round_deadline),
+        tally = tally_votes(_arrivals_at(round_no % n, votes, vote_sent, round_deadline),
                             quorum)
         if tally.block_hash is not None:
             anchor, fork_hashes = tally, (tally.block_hash,)
     if anchor is None:
-        counts, late_or_dropped = count_first_votes(ballots, vote_rows, round_deadline)
+        counts, late_or_dropped = count_first_votes(ballots, vote_sent.rows(), round_deadline)
         committers: dict[str, list[int]] = {}  # hash -> the honest nodes that commit it
         max_count = 0
         for block_hash, per_node in counts.items():
@@ -408,14 +460,14 @@ def run_round(
                        else "no_quorum")
             return RoundResult(
                 Decision(round_no, outcome, None, max_count), None, ledger, None,
-                proposer, fork_hashes, equivocations, n_messages, n_dropped,
+                proposer, fork_hashes, equivocations, (prop_sent, vote_sent),
             )
         # the commit instant is taken at the winning block's creator when it
         # committed itself, otherwise at the earliest honest observer
         nodes = committers[fork_hashes[0]]
         creator = validators.index(proposals[fork_hashes[0]].creator)
         tallies = {validators[j]: tally_votes(
-            _arrivals_at(j, votes, vote_rows, round_deadline), quorum)
+            _arrivals_at(j, votes, vote_sent, round_deadline), quorum)
             for j in ([creator] if creator in nodes else nodes)}
         anchor = min(tallies.items(),
                      key=lambda kv: (kv[1].commit_time, kv[0], kv[1].voters))[1]
@@ -426,7 +478,7 @@ def run_round(
     decision = Decision(round_no, "committed", block.block_hash, len(anchor.voters))
     return RoundResult(
         decision, final, ledger.apply_block(final), anchor.commit_time, proposer,
-        fork_hashes, equivocations, n_messages, n_dropped,
+        fork_hashes, equivocations, (prop_sent, vote_sent),
     )
 
 

@@ -29,7 +29,7 @@ from importlib import resources
 from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .emissions import FieldError, Mode, TripRecord
 
@@ -144,15 +144,22 @@ def _parse_bool(text: str) -> bool:
 _trip_order = attrgetter("start_time", "trip_id")
 
 
+def _refuse_nul(lines: Iterable[str]) -> Iterator[str]:
+    for lineno, line in enumerate(lines, start=1):
+        if "\0" in line:
+            raise SchemaError(lineno, "row", "line contains NUL")
+        yield line
+
+
 @contextmanager
 def _csv_rows(source: str | Path | TextIO) -> Iterator[Iterator[list[str]]]:
     """The rows of a CSV file given by path (opened with ``newline=""`` and
     closed on exit) or of an open text stream.  A line the csv module cannot
-    read (a field past its size limit, or before Python 3.11 a NUL byte) is
-    a schema error."""
+    read (a field past its size limit) is a schema error, and so is a line
+    holding a NUL byte, which the csv module reads from Python 3.11 on."""
     with (open(source, newline="") if isinstance(source, (str, Path))
           else nullcontext(source)) as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_refuse_nul(fh))
         try:
             yield reader
         except csv.Error as exc:
@@ -303,7 +310,31 @@ def load_profile(path: Optional[str | Path] = None) -> dict:
     missing = required - set(profile)
     if missing:
         raise ValueError(f"profile missing keys: {sorted(missing)}")
+    try:
+        missing = _missing_tables(profile)
+    except (TypeError, AttributeError, LookupError) as exc:
+        raise ValueError(f"profile tables are malformed: {type(exc).__name__}: {exc}") from exc
+    if missing:
+        raise ValueError(f"profile missing tables: {missing}")
     return profile
+
+
+def _missing_tables(profile: dict) -> list[str]:
+    """The ``table[label]`` entries a draw could look up and the profile
+    lacks: each age in `age_shares` needs its four per-age tables, and each
+    employment and mode a per-age share table names needs its tables."""
+    ages = list(profile["age_shares"])
+    per_age = ("employment_shares_by_age", "student_shares_by_age",
+               "licence_rate_by_age", "mode_shares_by_age")
+    missing = [f"{table}[{age!r}]" for table in per_age for age in ages
+               if age not in profile[table]]
+    keyed = (("employment_shares_by_age", ("trip_count_shares_by_employment",)),
+             ("mode_shares_by_age", ("distance_m_lognormal_by_mode", "speed_kmh_by_mode")))
+    for shares, tables in keyed:
+        labels = dict.fromkeys(label for age in ages for label in profile[shares].get(age, ()))
+        missing += [f"{table}[{label!r}]" for table in tables for label in labels
+                    if label not in profile[table]]
+    return missing
 
 
 def _cumulative(labels: Sequence, weights: Sequence[float]) -> tuple:

@@ -707,9 +707,11 @@ def corrupt_profile(edit):
 
 @pytest.mark.parametrize("name, corrupt", [
     # the csv module raises its own error (not a ValueError) for a field
-    # past its size limit, and before Python 3.11 for a NUL byte
+    # past its size limit
     ("persons.csv", lambda raw: raw.replace(b"female", b"f" * 200_000, 1)),
     ("trips.csv", lambda raw: raw + b"t-big,u00001,car,1.0,2.0,3.0,1," + b"v" * 200_000),
+    pytest.param("persons.csv", lambda raw: raw.replace(b"female", b"fe\x00male", 1),
+                 id="persons.csv-nul"),
     ("profile.json", lambda raw: b"[1, 2]"),
     ("profile.json", lambda raw: b"7"),
     ("profile.json", corrupt_profile(lambda p: p["mode_shares_by_age"].pop("40_59"))),
@@ -732,6 +734,22 @@ def test_simulate_and_synth_input_faults_exit_2(day_inputs, tmp_path, capsys, na
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv[0]
         assert "detail" in json.loads(err.strip())
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n_users", [1, 2, 5, 200])
+def test_profile_missing_a_table_exits_2_whatever_the_size(day_inputs, tmp_path, capsys,
+                                                          seed, n_users):
+    # a draw reaches `mode_shares_by_age["under_18"]` only once a user is under 18
+    files = dict(day_inputs)
+    files["profile.json"] = corrupt_profile(
+        lambda p: p["mode_shares_by_age"].pop("under_18"))(files["profile.json"])
+    write_inputs(tmp_path, files)
+    code, _, err = run_cli(capsys, "synth", "--seed", str(seed), "--n-users", str(n_users),
+                           "--profile", str(tmp_path / "profile.json"),
+                           "--out", str(tmp_path / "population"))
+    assert code == 2
+    assert "under_18" in json.loads(err.strip())["detail"]
 
 
 @settings(max_examples=60, deadline=None,

@@ -132,9 +132,9 @@ def test_quorum_arithmetic_intersection():
 # --- simulate_network ---
 
 
-def arrivals_of(rows):
+def arrivals_of(deliveries):
     """Every send's arrival, broadcast by broadcast."""
-    return [t for row in rows for t in row]
+    return [t for row in deliveries.rows() for t in row]
 
 
 def test_identical_seed_identical_schedule():
@@ -170,6 +170,67 @@ def test_self_messages_never_dropped():
     arrivals = arrivals_of(
         simulate_network(broadcasts, [VALIDATORS[0]], net, random.Random(3)))
     assert all(t == 1.0 for t in arrivals)
+
+
+def reference_rows(broadcasts, dsts, network, rng):
+    """The delivery model row by row: each send's arrival computed as it
+    is drawn, in the draw order the consensus module docstring states."""
+    lo, span = network.delay_ms_low, network.delay_ms_high - network.delay_ms_low
+    drop = network.drop_probability
+    slow = {a for a, b in network.byzantine.items() if b is Behavior.DELAY}
+    draw = rng.random
+    rows = []
+    for src, send_time in broadcasts:
+        factor = consensus.DELAY_FACTOR if src in slow else 1.0
+        if drop > 0:
+            rows.append([send_time if dst == src
+                         else None if draw() < drop
+                         else send_time + (lo + span * draw()) * factor / 1000.0
+                         for dst in dsts])
+        else:
+            rows.append([send_time if dst == src
+                         else send_time + (lo + span * draw()) * factor / 1000.0
+                         for dst in dsts])
+    return rows
+
+
+@st.composite
+def broadcast_worlds(draw):
+    """Broadcasts from validators and from outsiders (whose sends all take
+    draws), some of them `delay` senders, over links that may start at 0 ms."""
+    n = draw(st.integers(1, 32))
+    dsts = [f"v{j:02d}" for j in range(n)]
+    senders = dsts + ["outsider-0", "outsider-1"]
+    srcs = draw(st.lists(st.sampled_from(senders), max_size=40))
+    times = [draw(st.sampled_from([0.0, 0.02, 37.5, 100.123])) for _ in srcs]
+    slow = draw(st.sets(st.sampled_from(senders)))
+    lo = draw(st.sampled_from([0.0, 5.0, 10.0]))
+    net = NetworkModel(lo, lo + draw(st.sampled_from([0.0, 10.0, 20.0])),
+                       drop_probability=draw(st.sampled_from([0.0, 0.05, 0.3])),
+                       byzantine={a: Behavior.DELAY for a in slow}, unsafe_faults=True)
+    return list(zip(srcs, times)), dsts, net, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(broadcast_worlds())
+def test_deliveries_match_the_per_send_rows(world):
+    broadcasts, dsts, net, seed = world
+    ours, theirs = random.Random(seed), random.Random(seed)
+    delivered = simulate_network(broadcasts, dsts, net, ours)
+    assert delivered.rows() == reference_rows(broadcasts, dsts, net, theirs)
+    assert ours.random() == theirs.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(broadcast_worlds(), st.sampled_from([0.0, 37.51, 100.13]))
+def test_columns_and_drops_read_the_rows(world, deadline):
+    broadcasts, dsts, net, seed = world
+    delivered = simulate_network(broadcasts, dsts, net, random.Random(seed))
+    rows = delivered.rows()
+    assert delivered.dropped == sum(row.count(None) for row in rows)
+    for j in range(len(dsts)):
+        assert delivered.column(j, deadline) == [
+            t if t is not None and t <= deadline else None for t in (row[j] for row in rows)]
 
 
 # --- count_first_votes against tally_votes ---
@@ -483,9 +544,9 @@ def test_decision_matches_the_all_node_anchor_rule(world):
     network = consensus.simulate_network
 
     def recording(broadcasts, dsts, model, rng):
-        rows = network(broadcasts, dsts, model, rng)
-        sent.append((list(broadcasts), rows))
-        return rows
+        delivered = network(broadcasts, dsts, model, rng)
+        sent.append((list(broadcasts), delivered.rows()))
+        return delivered
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(consensus, "simulate_network", recording)
@@ -515,9 +576,22 @@ def count_calls(monkeypatch):
     return calls
 
 
+class UnreadRows(consensus.Deliveries):
+    def rows(self):
+        raise AssertionError("every vote arrival was computed")
+
+
 def test_honest_creator_decides_without_counting_every_node(monkeypatch):
     ledger = genesis_of(32)
     calls = count_calls(monkeypatch)
+    network, phases = consensus.simulate_network, itertools.cycle(["proposal", "votes"])
+
+    def votes_read_by_column(*args):
+        delivered = network(*args)
+        # reading only the creator's column computes at most n vote arrivals
+        return UnreadRows(*delivered) if next(phases) == "votes" else delivered
+
+    monkeypatch.setattr(consensus, "simulate_network", votes_read_by_column)
     net = NetworkModel(drop_probability=0.05)
     for round_no in range(20):
         result = run_round(make_pool(ledger), ledger, net, random.Random(round_no),

@@ -1,7 +1,9 @@
 """Population loading, rejects reporting, synthetic generation."""
 
 import hashlib
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,16 @@ def test_short_row_raises_schema_error(tmp_path):
     with pytest.raises(SchemaError) as err:
         load_population(p, t)
     assert err.value.row == 4
+
+
+@pytest.mark.parametrize("which", ["persons", "trips"])
+def test_nul_byte_raises_schema_error(tmp_path, which):
+    # the csv module reads a NUL from Python 3.11 on and refuses it before
+    p, t = write(tmp_path, **{which: {"persons": PERSONS_CSV, "trips": TRIPS_CSV}[which]
+                              .replace("u1,", "u\x001,", 1)})
+    with pytest.raises(SchemaError, match="NUL") as err:
+        load_population(p, t)
+    assert err.value.row == 2 if which == "persons" else 3
 
 
 def test_dangling_user_reference_raises_with_row(tmp_path):
@@ -310,6 +322,27 @@ def test_forced_walk_profile_produces_only_walks():
         profile["mode_shares_by_age"][age] = {"walk": 1.0}
     persons, trips = generate_synthetic(7, 60, profile)
     assert trips and all(t.mode is Mode.WALK for t in trips)
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda p: p["mode_shares_by_age"].pop("under_18"), "mode_shares_by_age['under_18']"),
+    (lambda p: p["licence_rate_by_age"].pop("60_plus"), "licence_rate_by_age['60_plus']"),
+    (lambda p: p["trip_count_shares_by_employment"].pop("unemployed"),
+     "trip_count_shares_by_employment['unemployed']"),
+    (lambda p: p["speed_kmh_by_mode"].pop("school_bus"), "speed_kmh_by_mode['school_bus']"),
+    (lambda p: p["distance_m_lognormal_by_mode"].pop("walk"),
+     "distance_m_lognormal_by_mode['walk']"),
+    (lambda p: p["mode_shares_by_age"].update({"18_24": 3}), "malformed"),
+    (lambda p: p.update(employment_shares_by_age=[]), "malformed"),
+])
+def test_profile_missing_nested_table_rejected_at_load(tmp_path, edit, detail):
+    # whatever the population size: a table only some draws reach is checked too
+    profile = load_profile()
+    edit(profile)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        load_profile(path)
 
 
 def test_profile_missing_key_rejected(tmp_path):
