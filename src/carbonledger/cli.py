@@ -121,7 +121,7 @@ def cmd_report(args) -> int:
     # provenance: the exported chain must still verify and match the manifest,
     # and the population and config must be the ones the run hashed
     report = ledger_mod.verify_chain(chain)
-    if not report.ok or manifest.get("ledger_head") != chain.head.block_hash:
+    if not report.ok or manifest.get("ledger_head") != report.head_hash:
         detail = "; ".join(
             f"height {v.height}: {v.kind}" for v in report.violations[:5]
         ) or "manifest head hash does not match the ledger export"
@@ -136,16 +136,16 @@ def cmd_report(args) -> int:
                                f"match {', '.join(changed)}"), EXIT_PROVENANCE)
 
     try:
-        # each trip is charged the tokens it paid on the verified chain; the
-        # population is parsed, as `open` would decode it, from the bytes
-        # that were hashed
+        # each trip is charged the tokens it paid on the verified chain, read
+        # from the same block records that were verified; the population is
+        # parsed, as `open` would decode it, from the bytes that were hashed
         persons, trips, _ = population.load_population(*(
             io.TextIOWrapper(io.BytesIO(inputs[name]), newline="")
             for name in ("population/persons.csv", "population/trips.csv")))
         addresses = {p.user_id: ledger_mod.derive_address(p.user_id) for p in persons}
         day = analytics.DayRecord(persons, trips,
                                   simulator.trip_payments(addresses, trips, chain),
-                                  simulator.genesis_grants(addresses, chain.chain[0].txs))
+                                  simulator.genesis_grants(addresses, chain))
         leftovers, trip_reports = analytics.all_reports(day)
         out_dir = Path(args.out) if args.out else run_dir / "reports"
         paths = analytics.export_reports(leftovers, trip_reports, out_dir, manifest)
@@ -163,7 +163,7 @@ def cmd_verify(args) -> int:
         return _fail(exc, EXIT_INPUT_ERROR)
     report = ledger_mod.verify_chain(chain)
     if report.ok:
-        print(f"ok: {len(chain.chain)} blocks, head {chain.head.block_hash}")
+        print(f"ok: {report.blocks} blocks, head {report.head_hash}")
         return EXIT_OK
     for v in report.violations:
         print(f"height {v.height}: {v.kind}: {v.detail}")

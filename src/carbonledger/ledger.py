@@ -24,10 +24,11 @@ view shows the value's state until that value is extended with
 failed `apply_block` writes nothing.
 
 Wallet state is only ever changed by `fold_transaction`, which folds one
-transaction into a balance map: a root's first read, `apply_block`,
-`validate_pool`, `verify_chain` and the simulator's pending batch all use
-it.  It never refuses a transfer; each caller checks the sender's balance
-as it needs to (reject the transaction, raise, or report a violation).
+transaction, built or as a record, into a balance map: a root's first read,
+`apply_block`, `validate_pool`, `verify_chain` and the simulator's pending
+batch all use it.  It never refuses a transfer; each caller checks the
+sender's balance as it needs to (reject the transaction, raise, or report a
+violation).
 
 `export_chain` writes a chain to an open text file one transaction's JSON
 at a time, and `import_chain` reads an open file one line at a time, so
@@ -35,6 +36,18 @@ neither holds the whole export as text, and the export holds no whole
 block line either.  Bytes that are not UTF-8 raise
 `UnicodeDecodeError` from whichever line holds them; the caller that opened
 the file reports it (the CLI exits 2 for it, as for any malformed export).
+
+A root from `import_chain` holds each block as a record: a tuple of the
+values the export's line gave, with one compact tuple per transaction in
+the export's field order, the amount and kind kept as their checked text
+(see "records" below).  It builds its `Block`s, `TokenTransaction`s and
+`TokenAmount`s only when its `chain`, `head`, balances, tx index or history
+is first read (`inspect` does), and then holds those instead.
+`verify_chain` reads `Ledger.block_records()`, which gives an imported
+root's records as they are and renders any other chain's blocks to the same
+tuples, so there is one verification path.  `Ledger.transfers()` gives the
+report its trip payments and grants from either form without rendering, so
+neither `verify` nor `report` builds a chain object.
 
 Transaction and block hashes are SHA-256 over canonical field strings.
 Attestations (transaction signatures, block signatures, votes) are keyed
@@ -48,12 +61,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
-from .tokens import TokenAmount
+from .tokens import TokenAmount, check_amount_text
 
 HASH_ALGORITHM = "sha256"
 GENESIS_PREV_HASH = "0" * 64
@@ -101,6 +115,12 @@ class TxKind(Enum):
     OPERATOR_SETTLEMENT = "operator_settlement"
 
 
+_ALLOCATION_VALUE = TxKind.ALLOCATION.value
+_TRIP_PAYMENT_VALUE = TxKind.TRIP_PAYMENT.value
+# each kind's text, so that the records of an import share one string per kind
+_KIND_VALUES = {kind.value: kind.value for kind in TxKind}
+
+
 @dataclass(frozen=True)
 class TokenTransaction:
     tx_id: str
@@ -114,21 +134,17 @@ class TokenTransaction:
 
     def payload_fields(self) -> tuple[str, ...]:
         """Every field except tx_id and signature, rendered as hashed."""
-        return _render_payload(self.timestamp, self.sender, self.receiver, self.amount,
-                               self.kind, self.description)
-
-    def payload_digest(self) -> str:
-        """Digest of every field except tx_id and signature."""
-        return _payload_digest(self.payload_fields())
+        return _render_payload(self.timestamp, self.sender, self.receiver, str(self.amount),
+                               self.kind.value, self.description)
 
     def canonical(self) -> str:
         """Full record line, the unit hashed into blocks."""
-        return _canonical_line(self, self.payload_fields())
+        return _canonical_line(self.tx_id, self.payload_fields(), self.signature)
 
 
-def _render_payload(timestamp: float, sender: str, receiver: str, amount: TokenAmount,
-                    kind: TxKind, description: str) -> tuple[str, ...]:
-    return (repr(timestamp), sender, receiver, str(amount), kind.value, description)
+def _render_payload(timestamp: float, sender: str, receiver: str, amount: str, kind: str,
+                    description: str) -> tuple[str, ...]:
+    return (repr(timestamp), sender, receiver, amount, kind, description)
 
 
 # `verify_chain` renders each tx once and derives both forms below from it
@@ -136,8 +152,8 @@ def _payload_digest(fields: tuple[str, ...]) -> str:
     return digest("tx", *fields)
 
 
-def _canonical_line(tx: TokenTransaction, fields: tuple[str, ...]) -> str:
-    return "|".join((tx.tx_id, *fields, tx.signature))
+def _canonical_line(tx_id: str, fields: tuple[str, ...], signature: str) -> str:
+    return "|".join((tx_id, *fields, signature))
 
 
 def make_transaction(
@@ -150,7 +166,7 @@ def make_transaction(
 ) -> TokenTransaction:
     """Build a signed transaction; tx_id is the payload digest."""
     tx_id = _payload_digest(
-        _render_payload(timestamp, sender, receiver, amount, kind, description))
+        _render_payload(timestamp, sender, receiver, str(amount), kind.value, description))
     return TokenTransaction(tx_id, timestamp, sender, receiver, amount, kind, description,
                             sign_payload(sender, tx_id))
 
@@ -164,6 +180,48 @@ class Block:
     block_hash: str
     # (validator address, attestation) pairs, sorted by address
     signatures: tuple[tuple[str, str], ...] = ()
+
+
+# --- records ------------------------------------------------------------------
+#
+# The form `import_chain` keeps and `verify_chain` reads: a block record is
+# the tuple (height, prev_hash, txs, creator, block_hash, signatures), in
+# `Block`'s field order, with the [address, attestation] pairs the export
+# gave.  Each of its txs is the tuple of the export's `_TX_FIELDS` values,
+# the amount and kind as their text.  An imported root's records hold their
+# txs in a tuple; a block rendered for the walk gives them one at a time.
+
+TxRecord = tuple  # (tx_id, timestamp, sender, receiver, amount, kind, description, signature)
+BlockRecord = tuple  # (height, prev_hash, txs, creator, block_hash, signatures)
+
+
+def _tx_record(tx: TokenTransaction) -> TxRecord:
+    return (tx.tx_id, tx.timestamp, tx.sender, tx.receiver, str(tx.amount), tx.kind.value,
+            tx.description, tx.signature)
+
+
+def _block_record(block: Block) -> BlockRecord:
+    # the txs are rendered as the walk reads them, not held per block
+    return (block.height, block.prev_hash, map(_tx_record, block.txs), block.creator,
+            block.block_hash, block.signatures)
+
+
+def _centi(amount: str) -> int:
+    """The centi-tokens of a record's amount, "-?<whole>.<2 digits>" as
+    `str(TokenAmount)` writes it."""
+    return int(amount.replace(".", ""))
+
+
+def _tx_from_record(record: TxRecord) -> TokenTransaction:
+    tx_id, timestamp, sender, receiver, amount, kind, description, signature = record
+    return TokenTransaction(tx_id, timestamp, sender, receiver, TokenAmount(_centi(amount)),
+                            TxKind(kind), description, signature)
+
+
+def _block_from_record(record: BlockRecord) -> Block:
+    height, prev_hash, txs, creator, block_hash, signatures = record
+    return Block(height, prev_hash, tuple(map(_tx_from_record, txs)), creator, block_hash,
+                 tuple(map(tuple, signatures)))
 
 
 def compute_block_hash(
@@ -212,23 +270,25 @@ def _reject(code: str, detail: str) -> ValidationResult:
 
 def validate_stateless(tx: TokenTransaction) -> ValidationResult:
     """Well-formedness only: reads no ledger state by construction."""
-    return _validate_stateless(tx, tx.payload_digest())
+    return _check_stateless(tx.tx_id, tx.payload_fields(), tx.signature)
 
 
-def _validate_stateless(tx: TokenTransaction, payload_digest: str) -> ValidationResult:
-    """`validate_stateless`, given the digest recomputed from tx's fields."""
-    if not tx.amount.is_positive:
-        return _reject(MALFORMED_AMOUNT, f"amount must be positive, got {tx.amount}")
-    for label, addr in (("sender", tx.sender), ("receiver", tx.receiver)):
+def _check_stateless(tx_id: str, fields: tuple[str, ...], signature: str) -> ValidationResult:
+    """`validate_stateless` on plain values: a transaction's id, its payload
+    fields as hashed (amount and kind as text) and its signature."""
+    _, sender, receiver, amount, kind, description = fields
+    if amount[0] == "-" or amount == "0.00":
+        return _reject(MALFORMED_AMOUNT, f"amount must be positive, got {amount}")
+    for label, addr in (("sender", sender), ("receiver", receiver)):
         if not _ADDRESS_RE.match(addr):
             return _reject(UNKNOWN_ADDRESS, f"{label} address malformed: {addr!r}")
-    if tx.sender == tx.receiver:
+    if sender == receiver:
         return _reject(UNKNOWN_ADDRESS, "sender and receiver are the same address")
-    if tx.kind is TxKind.TRIP_PAYMENT and "trip:" not in tx.description:
+    if kind == _TRIP_PAYMENT_VALUE and "trip:" not in description:
         return _reject(MALFORMED_DESCRIPTION, "trip payment carries no trip id")
-    if payload_digest != tx.tx_id:
+    if _payload_digest(fields) != tx_id:
         return _reject(HASH_MISMATCH, "tx_id does not match recomputed payload hash")
-    if tx.signature != sign_payload(tx.sender, tx.tx_id):
+    if signature != sign_payload(sender, tx_id):
         return _reject(BAD_SIGNATURE, "signature does not verify against sender")
     return ACCEPT
 
@@ -275,22 +335,33 @@ class Ledger:
     """Chain plus derived wallet state; values are immutable after commit.
 
     The constructor makes a root from a chain and its validator addresses;
-    the root folds its chain the first time its state is read.  The values
+    the root folds its chain the first time its state is read.  A root that
+    `import_chain` made holds block records and builds its blocks from them
+    the first time its chain or state is read.  The values
     derived with `apply_block` share the state owned by the one derived
     last; reading any other (superseded) value refolds its chain from its
     root in O(height).  A `balances` or `tx_index` view holds until its
     value is extended (see the module docstring).
     """
 
-    __slots__ = ("validators", "_parent", "_head", "_blocks", "_balances", "_tx_index",
-                 "_minted")
+    __slots__ = ("validators", "_parent", "_head", "_blocks", "_records", "_balances",
+                 "_tx_index", "_minted")
 
     def __init__(self, chain: Sequence[Block], validators: Iterable[str]):
         self.validators = tuple(validators)
         self._parent: Optional[Ledger] = None
-        self._blocks = list(chain)
+        self._records: Optional[list[BlockRecord]] = None
+        self._blocks: Optional[list[Block]] = list(chain)
         self._head = self._blocks[-1] if self._blocks else None
         self._balances: Optional[dict[str, int]] = None  # until the first read
+
+    def _built(self) -> list[Block]:
+        """This value's block list; a root holding records builds it from
+        them first, and then holds the blocks only."""
+        if self._blocks is None:
+            self._blocks = [_block_from_record(record) for record in self._records]
+            self._head, self._records = self._blocks[-1], None
+        return self._blocks
 
     def _state(self) -> tuple[dict[str, int], dict[str, tuple[int, int]], list[Block]]:
         """This value's wallet map, tx index and block list: a root folds its
@@ -302,7 +373,7 @@ class Ledger:
         structures exactly while its head is their last block.
         """
         if self._balances is None:
-            self._balances, self._tx_index, self._minted = _fold_blocks(self._blocks, {}, {})
+            self._balances, self._tx_index, self._minted = _fold_blocks(self._built(), {}, {})
         elif self._parent is not None and self._blocks[-1] is not self._head:
             heads = []
             node = self
@@ -328,7 +399,7 @@ class Ledger:
         while node._parent is not None and node._blocks[-1] is not node._head:
             heads.append(node._head)
             node = node._parent
-        return tuple(node._blocks) + tuple(reversed(heads))
+        return tuple(node._built()) + tuple(reversed(heads))
 
     @property
     def minted_centi(self) -> int:
@@ -348,11 +419,11 @@ class Ledger:
 
     @property
     def head(self) -> Block:
-        return self._head
+        return self._head if self._blocks is not None else self._built()[-1]
 
     @property
     def height(self) -> int:
-        return self._head.height
+        return self.head.height
 
     @property
     def quorum(self) -> int:
@@ -360,6 +431,28 @@ class Ledger:
 
     def balance(self, address: str) -> TokenAmount:
         return TokenAmount(self.balances.get(address, 0))
+
+    def block_records(self) -> Iterator[BlockRecord]:
+        """Each block as a record, genesis first: the records a root from
+        `import_chain` holds, else the chain's blocks rendered one at a time.
+        Builds no `Block` or `TokenTransaction`."""
+        if self._records is not None:
+            return iter(self._records)
+        return map(_block_record, self.chain)
+
+    def transfers(self, kind: TxKind) -> Iterator[tuple[int, str, str, str, TokenAmount]]:
+        """(height, sender, receiver, description, amount) of each committed
+        transaction of `kind`, genesis first.  Read off the records of a root
+        from `import_chain`, or else off the chain's blocks, so it builds
+        no `Block` or `TokenTransaction` and renders nothing."""
+        if self._records is not None:
+            value = kind.value
+            return ((height, sender, receiver, description, TokenAmount(_centi(amount)))
+                    for height, _, txs, *_ in self._records
+                    for _, _, sender, receiver, amount, tx_kind, description, _ in txs
+                    if tx_kind == value)
+        return ((block.height, tx.sender, tx.receiver, tx.description, tx.amount)
+                for block in self.chain for tx in block.txs if tx.kind is kind)
 
     # -- stateful validation --
 
@@ -446,7 +539,7 @@ class Ledger:
         new = Ledger.__new__(Ledger)
         new.validators = self.validators
         new._minted = self._minted + minted
-        new._parent, new._head = self, block
+        new._parent, new._head, new._records = self, block, None
         new._balances, new._tx_index, new._blocks = balances, tx_index, blocks
         return new
 
@@ -479,17 +572,22 @@ class Overlay(dict):
         return TokenAmount(self.get(address, 0))
 
 
-def fold_transaction(balances: dict[str, int], tx: TokenTransaction) -> int:
-    """Fold one transaction into a balance map; returns centi-tokens minted.
+def fold_transaction(balances: dict[str, int], tx: TokenTransaction | TxRecord) -> int:
+    """Fold one transaction, built or as a record, into a balance map;
+    returns centi-tokens minted.
 
     Always writes and never raises: a transfer may leave its sender below
     zero, and each caller decides what that means.
     """
-    centi = tx.amount.centi
-    minted = tx.kind is TxKind.ALLOCATION
+    if type(tx) is tuple:  # a record: the amount and kind as their text
+        _, _, sender, receiver, amount, kind, _, _ = tx
+        centi, minted = _centi(amount), kind == _ALLOCATION_VALUE
+    else:
+        sender, receiver = tx.sender, tx.receiver
+        centi, minted = tx.amount.centi, tx.kind is TxKind.ALLOCATION
     if not minted:
-        balances[tx.sender] = balances.get(tx.sender, 0) - centi
-    balances[tx.receiver] = balances.get(tx.receiver, 0) + centi
+        balances[sender] = balances.get(sender, 0) - centi
+    balances[receiver] = balances.get(receiver, 0) + centi
     return centi if minted else 0
 
 
@@ -548,6 +646,8 @@ class Violation:
 @dataclass(frozen=True)
 class VerificationReport:
     violations: tuple[Violation, ...]
+    blocks: int = 0  # how many blocks the walk read
+    head_hash: str = ""  # the stored hash of the last of them
 
     @property
     def ok(self) -> bool:
@@ -558,83 +658,116 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
     """Walk genesis to head recomputing every hash, link, attestation and the
     full wallet fold.  Violations are report entries, never exceptions.
 
+    The walk takes one `_ChainCheck.step` per record of
+    `ledger.block_records()`, so a root from `import_chain` is verified in
+    the form the file gave, and builds no `Block` or `TokenTransaction`.
     The fold is compared with the stored state only on a value `apply_block`
     derived: a root's state is its chain's fold by construction.
     """
-    found: list[Violation] = []
-    chain = ledger.chain
-    if not chain:
-        return VerificationReport((Violation(0, "empty_chain", "no genesis block"),))
+    check = _ChainCheck(ledger.validators)
+    for record in ledger.block_records():
+        check.step(record)
+    return check.report(ledger.balances if ledger._parent is not None else None)
 
-    validators = ledger.validators
-    quorum = quorum_size(len(validators)) if validators else 1
 
-    balances: dict[str, int] = {}
-    minted = 0
-    seen_tx: set[str] = set()
-    expected_prev = GENESIS_PREV_HASH
+class _ChainCheck:
+    """What `verify_chain` carries from one block to the next: the wallet
+    fold, the tx ids seen, the expected `prev_hash` and the violations."""
 
-    for i, block in enumerate(chain):
-        if block.height != i:
-            found.append(Violation(i, "bad_height", f"stored height {block.height}"))
-        rendered = [tx.payload_fields() for tx in block.txs]
-        lines = [_canonical_line(tx, fields) for tx, fields in zip(block.txs, rendered)]
+    __slots__ = ("validators", "quorum", "found", "balances", "minted", "seen_tx",
+                 "expected_prev", "blocks", "head_hash")
+
+    def __init__(self, validators: Sequence[str]):
+        self.validators = frozenset(validators)
+        self.quorum = quorum_size(len(validators)) if validators else 1
+        self.found: list[Violation] = []
+        self.balances: dict[str, int] = {}
+        self.minted = 0
+        self.seen_tx: set[str] = set()
+        self.expected_prev = GENESIS_PREV_HASH
+        self.blocks = 0
+        self.head_hash = ""
+
+    def step(self, record: BlockRecord) -> None:
+        """Check the next block."""
+        height, prev_hash, txs, creator, block_hash, signatures = record
+        i = self.blocks
+        self.blocks, self.head_hash = i + 1, block_hash
+        found = self.found
+        if height != i:
+            found.append(Violation(i, "bad_height", f"stored height {height}"))
+
+        # one pass over the txs renders the lines the block hash covers and
+        # checks and folds each tx; a tx's violations follow the block's
+        lines = []
+        tx_found = []
+        balances, seen_tx, minted = self.balances, self.seen_tx, 0
+        for tx in txs:
+            tx_id, timestamp, sender, receiver, amount, kind, description, signature = tx
+            fields = _render_payload(timestamp, sender, receiver, amount, kind, description)
+            lines.append(_canonical_line(tx_id, fields, signature))
+            res = _check_stateless(tx_id, fields, signature)
+            if not res.ok:
+                code = "tx_hash_mismatch" if res.code == HASH_MISMATCH else (
+                    "bad_tx_signature" if res.code == BAD_SIGNATURE else "malformed_tx"
+                )
+                tx_found.append(Violation(i, code, f"{tx_id[:12]}: {res.detail}"))
+            if tx_id in seen_tx:
+                tx_found.append(Violation(i, "duplicate_tx", tx_id[:12]))
+            seen_tx.add(tx_id)
+            # a negative balance is reported and the fold goes on, so one bad
+            # amount does not mask later violations
+            minted += fold_transaction(balances, tx)
+            if kind != _ALLOCATION_VALUE and balances[sender] < 0:
+                tx_found.append(
+                    Violation(i, "negative_balance",
+                              f"{sender} dips to {TokenAmount(balances[sender])}")
+                )
+        self.minted += minted
+
         # link check cascades: once a block's recomputed hash diverges, every
         # later link is reported broken as well
-        recomputed = _block_digest(i, block.prev_hash, block.creator, lines)
-        if block.prev_hash != expected_prev:
+        recomputed = _block_digest(i, prev_hash, creator, lines)
+        if prev_hash != self.expected_prev:
             found.append(
                 Violation(i, "broken_link", "prev_hash does not match previous block")
             )
-            expected_prev = _block_digest(i, expected_prev, block.creator, lines)
+            self.expected_prev = _block_digest(i, self.expected_prev, creator, lines)
         else:  # intact link: the next block's expected prev_hash is this recomputation
-            expected_prev = recomputed
-        if recomputed != block.block_hash:
+            self.expected_prev = recomputed
+        if recomputed != block_hash:
             found.append(Violation(i, "block_hash_mismatch", "stored hash differs "
                                    "from recomputation"))
 
         valid_sigs = set()
-        for addr, att in block.signatures:
-            if addr not in validators:
+        for addr, att in signatures:
+            if addr not in self.validators:
                 found.append(Violation(i, "unknown_signer", addr))
-            elif att != block_attestation(addr, block.block_hash):
+            elif att != block_attestation(addr, block_hash):
                 found.append(Violation(i, "bad_attestation", addr))
             else:
                 valid_sigs.add(addr)
-        if len(valid_sigs) < quorum:
+        if len(valid_sigs) < self.quorum:
             found.append(
-                Violation(i, "quorum_missing", f"{len(valid_sigs)} of {quorum} required")
+                Violation(i, "quorum_missing", f"{len(valid_sigs)} of {self.quorum} required")
             )
+        found.extend(tx_found)
 
-        for tx, fields in zip(block.txs, rendered):
-            res = _validate_stateless(tx, _payload_digest(fields))
-            if not res.ok:
-                kind = "tx_hash_mismatch" if res.code == HASH_MISMATCH else (
-                    "bad_tx_signature" if res.code == BAD_SIGNATURE else "malformed_tx"
-                )
-                found.append(Violation(i, kind, f"{tx.tx_id[:12]}: {res.detail}"))
-            if tx.tx_id in seen_tx:
-                found.append(Violation(i, "duplicate_tx", tx.tx_id[:12]))
-            seen_tx.add(tx.tx_id)
-            # a negative balance is reported and the fold goes on, so one bad
-            # amount does not mask later violations
-            minted += fold_transaction(balances, tx)
-            if tx.kind is not TxKind.ALLOCATION and balances[tx.sender] < 0:
-                found.append(
-                    Violation(i, "negative_balance",
-                              f"{tx.sender} dips to {TokenAmount(balances[tx.sender])}")
-                )
-
-    if sum(balances.values()) != minted:
-        found.append(Violation(len(chain) - 1, "conservation_broken",
-                               "wallet total differs from minted total"))
-    if ledger._parent is not None:
-        refolded = {a: c for a, c in balances.items() if c != 0}
-        stored = {a: c for a, c in ledger.balances.items() if c != 0}
-        if refolded != stored:
-            found.append(Violation(len(chain) - 1, "state_mismatch",
-                                   "stored wallet snapshot differs from re-fold"))
-    return VerificationReport(tuple(found))
+    def report(self, stored: Optional[Mapping[str, int]]) -> VerificationReport:
+        """The chain-wide checks once every block has been stepped; `stored`
+        is the wallet state to compare the fold with, if any."""
+        if not self.blocks:
+            return VerificationReport((Violation(0, "empty_chain", "no genesis block"),))
+        found = self.found
+        if sum(self.balances.values()) != self.minted:
+            found.append(Violation(self.blocks - 1, "conservation_broken",
+                                   "wallet total differs from minted total"))
+        if stored is not None:
+            refolded = {a: c for a, c in self.balances.items() if c != 0}
+            if refolded != {a: c for a, c in stored.items() if c != 0}:
+                found.append(Violation(self.blocks - 1, "state_mismatch",
+                                       "stored wallet snapshot differs from re-fold"))
+        return VerificationReport(tuple(found), self.blocks, self.head_hash)
 
 
 # --- export / import --------------------------------------------------------
@@ -657,7 +790,7 @@ def _tx_to_obj(tx: TokenTransaction) -> dict:
     }
 
 
-def _tx_from_obj(obj: dict) -> TokenTransaction:
+def _tx_record_from_obj(obj: dict) -> TxRecord:
     # every field is read below, so with the right count there is no other key
     if len(obj) != len(_TX_FIELDS):
         raise ParseError(f"bad transaction record: fields must be {list(_TX_FIELDS)}")
@@ -673,10 +806,14 @@ def _tx_from_obj(obj: dict) -> TokenTransaction:
     # the hashes cover the amount as `export_chain` renders it, so any other
     # spelling of the same value would verify under another text
     try:
-        return TokenTransaction(tx_id, timestamp, sender, receiver, TokenAmount.parse(amount),
-                                TxKind(kind), description, signature)
+        check_amount_text(amount)
+        kind = _KIND_VALUES.get(kind) or TxKind(kind)  # TxKind raises, naming the kind
     except ValueError as exc:
         raise ParseError(f"bad transaction record: {exc}") from exc
+    # a chain names the same few thousand addresses again and again, and one
+    # string per address keeps the records smaller than the built objects
+    return (tx_id, timestamp, sys.intern(sender), sys.intern(receiver), amount, kind,
+            description, signature)
 
 
 # what `json.dumps(obj, separators=(",", ":"))` builds on every call
@@ -716,19 +853,19 @@ def export_chain(ledger: Ledger, out: TextIO) -> None:
 
 def import_chain(source: str | TextIO) -> Ledger:
     """Parse an export, given as its text or as an open text file, back into
-    a Ledger.
+    a Ledger root that holds each block as a record (see "records" above).
 
     A file is read one line at a time.  Lines are the ones `str.splitlines`
     gives either way, so U+2028 and the other Unicode line breaks end a line
     in a file as they do in a string.  Parsing checks shape and field types
     only: hashes and balances are *not* enforced here, so a tampered file
     imports fine and `verify_chain` does the detecting.  The validator set is
-    recovered from the genesis signatures, and the root folds its chain only
-    when its state is first read.
+    recovered from the genesis signatures.  The root builds its blocks only
+    when its chain or state is first read (see `Ledger`).
     """
     lines = (source.splitlines() if isinstance(source, str)
              else (line for physical in source for line in physical.splitlines()))
-    blocks: list[Block] = []
+    records: list[BlockRecord] = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -740,25 +877,24 @@ def import_chain(source: str | TextIO) -> Ledger:
                 if not (type(sig) is list and len(sig) == 2
                         and isinstance(sig[0], str) and isinstance(sig[1], str)):
                     raise ParseError("a signature entry is not a pair of strings")
-            block = Block(
-                height=obj["height"],
-                prev_hash=obj["prev_hash"],
-                txs=tuple(_tx_from_obj(t) for t in obj["txs"]),
-                creator=obj["creator"],
-                block_hash=obj["block_hash"],
-                signatures=tuple(tuple(s) for s in obj["signatures"]),
-            )
-            if not (isinstance(block.prev_hash, str) and isinstance(block.creator, str)
-                    and isinstance(block.block_hash, str)):
+                sig[0] = sys.intern(sig[0])  # one string per validator address
+            record = (obj["height"], obj["prev_hash"],
+                      tuple([_tx_record_from_obj(t) for t in obj["txs"]]),
+                      obj["creator"], obj["block_hash"], obj["signatures"])
+            _, prev_hash, _, creator, block_hash, _ = record
+            if not (isinstance(prev_hash, str) and isinstance(creator, str)
+                    and isinstance(block_hash, str)):
                 raise ParseError("prev_hash, creator and block_hash must be strings")
         except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError,
                 ParseError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        blocks.append(block)
-    if not blocks:
+        records.append(record)
+    if not records:
         raise ParseError("no blocks in export")
 
-    return Ledger(blocks, (a for a, _ in blocks[0].signatures))
+    root = Ledger((), (a for a, _ in records[0][-1]))
+    root._records, root._blocks = records, None
+    return root
 
 
 def export_wallets(ledger: Ledger) -> str:

@@ -210,15 +210,14 @@ def _settlement_description(trip: TripRecord) -> str:
     return f"trip:{trip.trip_id};mode:{trip.mode.value};vehicle:{vehicle}"
 
 
-def genesis_grants(user_addresses: Mapping[str, str], genesis_txs: Sequence[TokenTransaction]
-                   ) -> dict[str, TokenAmount]:
+def genesis_grants(user_addresses: Mapping[str, str], chain: Ledger) -> dict[str, TokenAmount]:
     """Each user's grant as minted at genesis, given user_id -> ledger
     address; zero for anyone genesis skips."""
     grants = {uid: TokenAmount.zero() for uid in user_addresses}
     user_of = {a: uid for uid, a in user_addresses.items()}
-    for tx in genesis_txs:
-        if tx.receiver in user_of:
-            grants[user_of[tx.receiver]] = tx.amount
+    for height, _, receiver, _, amount in chain.transfers(TxKind.ALLOCATION):
+        if height == 0 and receiver in user_of:
+            grants[user_of[receiver]] = amount
     return grants
 
 
@@ -226,8 +225,8 @@ def trip_payments(user_addresses: Mapping[str, str], trips: Sequence[TripRecord]
                   chain: Ledger) -> dict[str, TokenAmount]:
     """Each trip's tokens paid on chain, by trip id: its user's committed trip
     payment with the trip's settlement description, or zero if none."""
-    paid = {(tx.sender, tx.description): tx.amount
-            for block in chain.chain for tx in block.txs if tx.kind is TxKind.TRIP_PAYMENT}
+    paid = {(sender, description): amount
+            for _, sender, _, description, amount in chain.transfers(TxKind.TRIP_PAYMENT)}
     zero = TokenAmount.zero()
     return {t.trip_id: paid.get((user_addresses[t.user_id], _settlement_description(t)), zero)
             for t in trips}
@@ -303,7 +302,7 @@ def run(config: SimulationConfig, out_dir: Optional[str | Path] = None) -> Simul
     )
     ledger = create_genesis(validators, genesis_txs)
 
-    grants = genesis_grants(user_addresses, ledger.chain[0].txs)
+    grants = genesis_grants(user_addresses, ledger)
 
     # consensus
     byz = {}

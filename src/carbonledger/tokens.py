@@ -53,9 +53,7 @@ class TokenAmount:
         other spelling of an amount, such as "1e3", "5.005", "+1.00" or
         "1.0", raises `TokenValueError` instead of being rounded.
         """
-        if not _TOKEN_TEXT.fullmatch(text) or text == "-0.00":
-            raise TokenValueError(f"not a two-decimal token amount: {text!r}")
-        return cls(int(text.replace(".", "")))
+        return cls(int(check_amount_text(text).replace(".", "")))
 
     @classmethod
     def from_cad(cls, cad) -> "TokenAmount":
@@ -105,6 +103,14 @@ class TokenAmount:
 
     def __repr__(self) -> str:
         return f"TokenAmount({self!s})"
+
+
+def check_amount_text(text: str) -> str:
+    """`text`, if it is exactly how `str` renders some amount; raises
+    `TokenValueError` otherwise (see `TokenAmount.parse`)."""
+    if not _TOKEN_TEXT.fullmatch(text) or text == "-0.00":
+        raise TokenValueError(f"not a two-decimal token amount: {text!r}")
+    return text
 
 
 def total(amounts) -> TokenAmount:

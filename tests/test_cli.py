@@ -605,17 +605,24 @@ FIELD_MUTATIONS = {
 VIOLATIONS_DIGEST = "4d359fbab24cd7dd11a173c87b7531a5dae65f3958f3c0029a4e6c00a2487b48"
 
 
-def test_violations_on_imported_chains_are_pinned(faulty_run):
-    lines = (faulty_run / "ledger.ndjson").read_text().splitlines()
+def mutated_exports(run_dir):
+    """(mutation name, height, export text) for 308 seeded single-field
+    mutations of the run's export, 22 of each kind."""
+    lines = (run_dir / "ledger.ndjson").read_text().splitlines()
     rng = random.Random(13)
-    outcomes = []
     for name in sorted(FIELD_MUTATIONS) * 22:
         height = rng.randrange(len(lines))
         block = json.loads(lines[height])
         FIELD_MUTATIONS[name](rng, block, rng.choice(block["txs"]))
         mutated = lines[:height] + [json.dumps(block, separators=(",", ":"))] + lines[height + 1:]
+        yield name, height, "\n".join(mutated) + "\n"
+
+
+def test_violations_on_imported_chains_are_pinned(faulty_run):
+    outcomes = []
+    for name, height, text in mutated_exports(faulty_run):
         try:
-            report = verify_chain(import_chain("\n".join(mutated) + "\n"))
+            report = verify_chain(import_chain(text))
             outcome = [[v.height, v.kind, v.detail] for v in report.violations]
         except ParseError as exc:
             outcome = ["ParseError", str(exc)]
@@ -626,6 +633,49 @@ def test_violations_on_imported_chains_are_pinned(faulty_run):
     assert digest == VIOLATIONS_DIGEST
 
 
+def test_record_form_verifies_as_the_built_chain(faulty_run):
+    """`verify_chain` on an imported root hashes the amount and kind as the
+    file writes them, where a built chain renders `str(TokenAmount)` and
+    `TxKind.value`; both must report the same violations."""
+    compared = 0
+    for name, height, text in mutated_exports(faulty_run):
+        try:
+            imported = import_chain(text)
+        except ParseError:
+            continue
+        from_records = verify_chain(imported).violations
+        built = ledger_mod.Ledger(imported.chain, imported.validators)
+        from_objects = verify_chain(built).violations
+        assert ([(v.height, v.kind, v.detail) for v in from_records]
+                == [(v.height, v.kind, v.detail) for v in from_objects]), (name, height)
+        compared += 1
+    assert compared > 200
+
+
+def test_verify_and_report_build_no_chain_objects(faulty_run, tmp_path, monkeypatch, capsys):
+    built = collections.Counter()
+    for cls in (ledger_mod.TokenTransaction, ledger_mod.Block):
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    ledger_file = str(faulty_run / "ledger.ndjson")
+    assert run_cli(capsys, "verify", ledger_file)[0] == 0
+    assert run_cli(capsys, "report", str(faulty_run), "--out", str(tmp_path / "reports"))[0] == 0
+    assert built == {}
+
+    # `inspect` builds the chain it queries, and prints what the file holds
+    lines = (faulty_run / "ledger.ndjson").read_text().splitlines()
+    height = len(lines) // 2
+    txs = json.loads(lines[height])["txs"]
+    tx = txs[-1]
+    code, out, _ = run_cli(capsys, "inspect", ledger_file, "--tx", tx["tx_id"])
+    assert code == 0 and built["TokenTransaction"] > 0
+    assert out == json.dumps({"height": height, "position": len(txs) - 1,
+                              **{k: tx[k] for k in ("tx_id", "amount", "kind", "sender",
+                                                    "receiver")}}) + "\n"
+
+
 def test_verify_and_report_fold_each_committed_tx_once(faulty_run, tmp_path, monkeypatch):
     committed = collections.Counter(
         tx["tx_id"] for line in (faulty_run / "ledger.ndjson").read_text().splitlines()
@@ -634,7 +684,7 @@ def test_verify_and_report_fold_each_committed_tx_once(faulty_run, tmp_path, mon
     fold = ledger_mod.fold_transaction
 
     def counting_fold(balances, tx):
-        folded[tx.tx_id] += 1
+        folded[tx[0]] += 1  # verify and report fold each tx as its record, tx_id first
         return fold(balances, tx)
 
     monkeypatch.setattr(ledger_mod, "fold_transaction", counting_fold)

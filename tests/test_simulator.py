@@ -17,8 +17,8 @@ import pytest
 import carbonledger
 from carbonledger.cli import main as cli_main
 from carbonledger.emissions import Mode
-from carbonledger.ledger import (TxKind, _tx_from_obj, block_to_line, export_chain,
-                                 import_chain, validate_stateless, verify_chain)
+from carbonledger.ledger import (TxKind, _tx_from_record, _tx_record_from_obj, block_to_line,
+                                 export_chain, import_chain, validate_stateless, verify_chain)
 from carbonledger.market import MARKET_ADDRESS, RETIREMENT_ADDRESS
 from carbonledger.population import load_profile, write_population, generate_synthetic
 from carbonledger.simulator import (
@@ -264,7 +264,7 @@ def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):
     assert all(int(r["last_round"]) - int(r["first_round"]) + 1 == 3  # max_round_retries
                and r["last_outcome"] in ("no_quorum", "round_timeout") for r in rows)
     pools = [r["tx_ids"].split(";") for r in rows]
-    failed = [_tx_from_obj(json.loads(line))
+    failed = [_tx_from_record(_tx_record_from_obj(json.loads(line)))
               for line in (tmp_path / "failed_txs.ndjson").read_text().splitlines()]
     assert [tx.tx_id for tx in failed] == [tx_id for pool in pools for tx_id in pool]
     assert all(validate_stateless(tx).ok and tx.tx_id not in result.ledger.tx_index
