@@ -24,18 +24,19 @@ Timing model (all simulated; link delays configured in milliseconds):
   (the (quorum−1)-th order statistic of n−1 uniform link delays);
 * the round times out ``2 × p99 link delay`` after the vote phase starts.
 
-Decision order: the rule above is applied at the creator first.  A node
-counts a hash at most once per voter that cast it, so only a hash cast by
-a quorum can commit anywhere.  When exactly one hash was, it is a proposal
-and its creator is honest, `tally_votes` runs at the creator alone, and if
-the creator commits the round is decided there, in O(ballots).  Every
-other round (a byzantine creator, a creator short of quorum, no single
-quorum hash) counts first votes at every node with `count_first_votes`,
-in O(ballots × n), and decides as the rule states.  Either way the round
-draws its n² deliveries in `simulate_network`, but it computes a vote's
-arrival only where a tally reads it: at the creator, one column of at most
-n arrivals (`Deliveries.column`); in the other rounds, every node's
-(`Deliveries.rows`).
+Decision order: `tally_votes` is the one vote count, and the rule above is
+applied at the creator first.  When the proposer is honest, its tally runs
+alone, and if the creator commits the round is decided there, in
+O(ballots).  That is exact: an honest proposer sends one block, and every
+other hash is a fabricated vote with one voter from another validator, so
+n ≥ 2 and that hash cannot reach the quorum of at least two.  Every other
+round (a byzantine creator, or one short of quorum) builds each node's
+on-time inbox and tallies it, in O(ballots × n); the honest committers,
+the failed round's largest count and whether any vote was lost or late are
+all read from those tallies.  Either way the round draws its n² deliveries
+in `simulate_network`, but it computes a vote's arrival only where a tally
+reads it: at the creator, one inbox of at most n arrivals
+(`Deliveries.inbox`); in the other rounds, every node's.
 
 Draw order: each round calls `simulate_network` twice, for the proposal
 and then the votes, and both calls draw from the one round rng.  A
@@ -66,11 +67,9 @@ is in effect ``silent``.  With ``lo = 0`` its sends sometimes land on time.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from operator import add
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .ledger import (
@@ -160,15 +159,17 @@ class Deliveries(NamedTuple):
     def dropped(self) -> int:
         return self.flat.count(None)
 
-    def column(self, j: int, deadline: float) -> list[Optional[float]]:
-        """Each broadcast's arrival at destination `j`, or None if it was
-        dropped or arrived after `deadline`."""
+    def inbox(self, j: int, deadline: float,
+              payloads: Sequence[tuple[str, str]]) -> list[tuple[float, str, str]]:
+        """``(arrival, *payload)`` of each broadcast that reached destination
+        `j` by `deadline`, in broadcast order, given one ``(sender, content)``
+        payload per broadcast; no other arrival is computed."""
         lo, span = self.lo, self.span
-        return [None if u is None
-                else t if (t := send_time if own == j
-                           else send_time + (lo + span * u) * factor / 1000.0) <= deadline
-                else None
-                for (send_time, factor, own), u in zip(self.senders, self.flat[j::self.width])]
+        return [(t, src, content)
+                for (src, content), (send_time, factor, own), u
+                in zip(payloads, self.senders, self.flat[j::self.width])
+                if u is not None and (t := send_time if own == j else
+                                      send_time + (lo + span * u) * factor / 1000.0) <= deadline]
 
     def rows(self) -> list[list[Optional[float]]]:
         """One row per broadcast of each destination's arrival, or None if
@@ -259,48 +260,6 @@ def tally_votes(arrivals: Sequence[tuple[float, str, str]], quorum: int) -> Tall
     return Tally(*commit, best)
 
 
-def count_first_votes(
-    ballots: Sequence[tuple[str, tuple[str, ...]]],
-    rows: Sequence[Sequence[Optional[float]]],
-    deadline: float,
-) -> tuple[dict[str, list[int]], bool]:
-    """Per hash, how many voters' first on-time vote at each node it is.
-
-    `ballots` holds each voter's cast hashes in send order and `rows` each
-    cast vote's arrivals, one row per vote, ballot by ballot, one entry per
-    node.  A vote is on time when it arrived by `deadline`.  A voter's first
-    vote at a node is its smallest on-time ``(arrival, hash)`` there, the
-    one `tally_votes` counts.  Also returns whether any vote was dropped or
-    late.
-    """
-    votes = iter(rows)
-    zeros = [0] * len(rows[0]) if rows else []
-    counts: dict[str, list[int]] = {}
-    late_or_dropped = False
-    for _, hashes in ballots:
-        if len(hashes) == 1:
-            on_time = [t is not None and t <= deadline for t in next(votes)]
-            late_or_dropped = late_or_dropped or not all(on_time)
-            counts[hashes[0]] = list(map(add, counts.get(hashes[0], zeros), on_time))
-            continue
-        own = [next(votes) for _ in hashes]
-        late_or_dropped = late_or_dropped or not all(
-            t is not None and t <= deadline for row in own for t in row)
-        firsts = [min([(t, h) for t, h in zip(col, hashes)
-                       if t is not None and t <= deadline], default=(None, None))[1]
-                  for col in zip(*own)]
-        for h in dict.fromkeys(hashes):
-            counts[h] = list(map(add, counts.get(h, zeros), [f == h for f in firsts]))
-    return counts, late_or_dropped
-
-
-def _arrivals_at(j: int, votes: Sequence[tuple[str, str]], deliveries: Deliveries,
-                 deadline: float) -> list[tuple[float, str, str]]:
-    """The ``(time, voter, hash)`` votes that reached node `j` by `deadline`."""
-    return [(t, voter, h) for (voter, h), t in zip(votes, deliveries.column(j, deadline))
-            if t is not None]
-
-
 @dataclass
 class RoundResult:
     decision: Decision
@@ -354,13 +313,12 @@ def run_round(
     """Propose, broadcast, vote and tally once among the ledger's validators;
     apply the block on commit.
 
-    The decision tallies the creator first: when its honest creator's
-    proposal is the one hash cast by a quorum and the creator commits it,
-    the round is decided at the creator in O(ballots); otherwise first
-    votes are counted at every node, in O(ballots × n), and the anchor is
-    the creator or the earliest honest committer (see the module
-    docstring).  On ``no_quorum`` or ``round_timeout`` the input ledger is
-    returned unchanged and the caller retries with the pool intact.
+    Every decision is a `tally_votes` count: an honest creator's own inbox
+    first, which decides the round in O(ballots) when the creator commits;
+    otherwise every node's inbox, in O(ballots × n), with the earliest
+    honest committer as the anchor (see the module docstring).  On
+    ``no_quorum`` or ``round_timeout`` the input ledger is returned
+    unchanged and the caller retries with the pool intact.
     """
     validators = ledger.validators
     n = len(validators)
@@ -418,31 +376,18 @@ def run_round(
     vote_sent = simulate_network(
         [(v, prop_deadline) for v, _ in votes], validators, network, rng)
 
-    # --- decision: only a hash cast by a quorum of voters can commit anywhere,
-    # since a node counts a hash at most once per voter that cast it.  When
-    # that is one proposal from an honest creator, the creator is tallied
-    # first; every node is counted only when the creator does not commit ---
+    # --- decision: an honest creator is tallied first, and every node only
+    # when the creator does not commit ---
     quorum = ledger.quorum
-    cast = Counter(h for _, hashes in ballots for h in hashes)
-    contenders = [h for h, c in cast.items() if c >= quorum]
-    anchor: Optional[Tally] = None
-    if len(contenders) == 1 and contenders[0] in proposals and proposer not in byzantine:
-        tally = tally_votes(_arrivals_at(round_no % n, votes, vote_sent, round_deadline),
-                            quorum)
-        if tally.block_hash is not None:
-            anchor, fork_hashes = tally, (tally.block_hash,)
-    if anchor is None:
-        counts, late_or_dropped = count_first_votes(ballots, vote_sent.rows(), round_deadline)
-        committers: dict[str, list[int]] = {}  # hash -> the honest nodes that commit it
-        max_count = 0
-        for block_hash, per_node in counts.items():
-            top = max(per_node)
-            max_count = max(max_count, top)
-            if top >= quorum:
-                nodes = [j for j, c in enumerate(per_node)
-                         if c >= quorum and validators[j] not in byzantine]
-                if nodes:
-                    committers[block_hash] = nodes
+    anchor = (None if proposer in byzantine else
+              tally_votes(vote_sent.inbox(round_no % n, round_deadline, votes), quorum))
+    if anchor is not None and anchor.block_hash is not None:
+        fork_hashes = (anchor.block_hash,)
+    else:
+        inboxes = [vote_sent.inbox(j, round_deadline, votes) for j in range(n)]
+        tallies = [tally_votes(inbox, quorum) for inbox in inboxes]
+        committers = [(v, tally) for v, tally in zip(validators, tallies)
+                      if tally.block_hash is not None and v not in byzantine]
 
         # Safety, whatever `unsafe_faults` says: an equivocating proposer's
         # two variants go to disjoint voter sets and 2·ceil(2n/3) > n, so at
@@ -450,27 +395,23 @@ def run_round(
         # voter, so it reaches quorum only when n = 1, and then its one node
         # is not honest.  Every honest commit is therefore one hash, and that
         # hash was proposed.
-        fork_hashes = tuple(sorted(committers))
+        fork_hashes = tuple(sorted({tally.block_hash for _, tally in committers}))
         if len(fork_hashes) > 1:
             raise SafetyViolation(f"round {round_no}: distinct commits {fork_hashes}")
         if not committers:
             # round_timeout: a quorum was cast but votes were lost or late;
             # no_quorum: the cast votes could never have formed one, or split
+            late_or_dropped = any(len(inbox) < len(votes) for inbox in inboxes)
             outcome = ("round_timeout" if len(ballots) >= quorum and late_or_dropped
                        else "no_quorum")
             return RoundResult(
-                Decision(round_no, outcome, None, max_count), None, ledger, None,
-                proposer, fork_hashes, equivocations, (prop_sent, vote_sent),
+                Decision(round_no, outcome, None, max(tally.best for tally in tallies)),
+                None, ledger, None, proposer, fork_hashes, equivocations,
+                (prop_sent, vote_sent),
             )
-        # the commit instant is taken at the winning block's creator when it
-        # committed itself, otherwise at the earliest honest observer
-        nodes = committers[fork_hashes[0]]
-        creator = validators.index(proposals[fork_hashes[0]].creator)
-        tallies = {validators[j]: tally_votes(
-            _arrivals_at(j, votes, vote_sent, round_deadline), quorum)
-            for j in ([creator] if creator in nodes else nodes)}
-        anchor = min(tallies.items(),
-                     key=lambda kv: (kv[1].commit_time, kv[0], kv[1].voters))[1]
+        # no honest creator committed, so the commit instant is taken at the
+        # earliest honest node that did
+        anchor = min(committers, key=lambda vt: (vt[1].commit_time, vt[0], vt[1].voters))[1]
 
     block = proposals[anchor.block_hash]
     final = with_signatures(block, (

@@ -73,7 +73,7 @@ HASH_ALGORITHM = "sha256"
 GENESIS_PREV_HASH = "0" * 64
 ADDRESS_LEN = 40
 
-_ADDRESS_RE = re.compile(r"^[0-9a-f]{40}$")
+_ADDRESS_RE = re.compile(r"[0-9a-f]{40}")
 
 
 def digest(*parts: str) -> str:
@@ -280,7 +280,7 @@ def _check_stateless(tx_id: str, fields: tuple[str, ...], signature: str) -> Val
     if amount[0] == "-" or amount == "0.00":
         return _reject(MALFORMED_AMOUNT, f"amount must be positive, got {amount}")
     for label, addr in (("sender", sender), ("receiver", receiver)):
-        if not _ADDRESS_RE.match(addr):
+        if not _ADDRESS_RE.fullmatch(addr):
             return _reject(UNKNOWN_ADDRESS, f"{label} address malformed: {addr!r}")
     if sender == receiver:
         return _reject(UNKNOWN_ADDRESS, "sender and receiver are the same address")
@@ -820,6 +820,19 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
+def _canonical_float(text: str) -> float:
+    # the hashes cover a timestamp as `repr` renders it, so any other
+    # spelling of the same value would verify under another text
+    value = float(text)
+    if repr(value) != text:
+        raise ValueError(f"float {text} is not written as {value!r}")
+    return value
+
+
+# `json.loads`, but a float must be spelled as `export_chain` writes it
+_EXPORT_JSON = json.JSONDecoder(parse_float=_canonical_float)
+
+
 def _block_fragments(block: Block) -> Iterator[str]:
     """A block's compact JSON object in pieces: the fields before `txs`, then
     each transaction's JSON, then the closing brackets.  Joined, they are
@@ -870,7 +883,7 @@ def import_chain(source: str | TextIO) -> Ledger:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _EXPORT_JSON.decode(line)
             if type(obj["height"]) is not int:
                 raise ParseError("height must be an integer")
             for sig in obj["signatures"]:

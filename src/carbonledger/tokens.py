@@ -75,10 +75,6 @@ class TokenAmount:
         """Exact CAD value (1 token = 10^-4 CAD)."""
         return Decimal(self.centi) / (CENTI_PER_TOKEN * TOKENS_PER_CAD)
 
-    @property
-    def is_positive(self) -> bool:
-        return self.centi > 0
-
     def __add__(self, other: "TokenAmount") -> "TokenAmount":
         return TokenAmount(self.centi + other.centi)
 

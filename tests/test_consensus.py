@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import random
+from operator import add
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,6 @@ from carbonledger.consensus import (
     NetworkModel,
     SafetyViolation,
     UnsafeFaultConfig,
-    count_first_votes,
     run_round,
     simulate_network,
     tally_votes,
@@ -228,14 +229,54 @@ def test_columns_and_drops_read_the_rows(world, deadline):
     delivered = simulate_network(broadcasts, dsts, net, random.Random(seed))
     rows = delivered.rows()
     assert delivered.dropped == sum(row.count(None) for row in rows)
+    payloads = [(src, str(b)) for b, (src, _) in enumerate(broadcasts)]
     for j in range(len(dsts)):
-        assert delivered.column(j, deadline) == [
-            t if t is not None and t <= deadline else None for t in (row[j] for row in rows)]
+        assert delivered.inbox(j, deadline, payloads) == [
+            (row[j], src, content) for (src, content), row in zip(payloads, rows)
+            if row[j] is not None and row[j] <= deadline]
 
 
 # --- count_first_votes against tally_votes ---
 
 DEADLINE = 1.0
+
+
+# an independent count of every node's first votes at once: the reference
+# that `tally_votes`, and the decisions `run_round` takes with it, are
+# compared against
+def count_first_votes(
+    ballots: Sequence[tuple[str, tuple[str, ...]]],
+    rows: Sequence[Sequence[Optional[float]]],
+    deadline: float,
+) -> tuple[dict[str, list[int]], bool]:
+    """Per hash, how many voters' first on-time vote at each node it is.
+
+    `ballots` holds each voter's cast hashes in send order and `rows` each
+    cast vote's arrivals, one row per vote, ballot by ballot, one entry per
+    node.  A vote is on time when it arrived by `deadline`.  A voter's first
+    vote at a node is its smallest on-time ``(arrival, hash)`` there, the
+    one `tally_votes` counts.  Also returns whether any vote was dropped or
+    late.
+    """
+    votes = iter(rows)
+    zeros = [0] * len(rows[0]) if rows else []
+    counts: dict[str, list[int]] = {}
+    late_or_dropped = False
+    for _, hashes in ballots:
+        if len(hashes) == 1:
+            on_time = [t is not None and t <= deadline for t in next(votes)]
+            late_or_dropped = late_or_dropped or not all(on_time)
+            counts[hashes[0]] = list(map(add, counts.get(hashes[0], zeros), on_time))
+            continue
+        own = [next(votes) for _ in hashes]
+        late_or_dropped = late_or_dropped or not all(
+            t is not None and t <= deadline for row in own for t in row)
+        firsts = [min([(t, h) for t, h in zip(col, hashes)
+                       if t is not None and t <= deadline], default=(None, None))[1]
+                  for col in zip(*own)]
+        for h in dict.fromkeys(hashes):
+            counts[h] = list(map(add, counts.get(h, zeros), [f == h for f in firsts]))
+    return counts, late_or_dropped
 
 
 @st.composite
@@ -564,50 +605,59 @@ def test_decision_matches_the_all_node_anchor_rule(world):
     assert r.ledger.height == ledger.height + (r.block is not None)
 
 
-def count_calls(monkeypatch):
+def count_tallies(monkeypatch):
     calls = []
-    counting = consensus.count_first_votes
+    tally = consensus.tally_votes
 
     def wrapper(*args):
         calls.append(args)
-        return counting(*args)
+        return tally(*args)
 
-    monkeypatch.setattr(consensus, "count_first_votes", wrapper)
+    monkeypatch.setattr(consensus, "tally_votes", wrapper)
     return calls
+
+
+INBOXES_READ = []
 
 
 class UnreadRows(consensus.Deliveries):
     def rows(self):
         raise AssertionError("every vote arrival was computed")
 
+    def inbox(self, j, *args):
+        INBOXES_READ.append(j)
+        return super().inbox(j, *args)
+
 
 def test_honest_creator_decides_without_counting_every_node(monkeypatch):
     ledger = genesis_of(32)
-    calls = count_calls(monkeypatch)
+    calls = count_tallies(monkeypatch)
     network, phases = consensus.simulate_network, itertools.cycle(["proposal", "votes"])
 
-    def votes_read_by_column(*args):
+    def votes_read_by_inbox(*args):
         delivered = network(*args)
-        # reading only the creator's column computes at most n vote arrivals
         return UnreadRows(*delivered) if next(phases) == "votes" else delivered
 
-    monkeypatch.setattr(consensus, "simulate_network", votes_read_by_column)
+    monkeypatch.setattr(consensus, "simulate_network", votes_read_by_inbox)
+    INBOXES_READ.clear()
     net = NetworkModel(drop_probability=0.05)
     for round_no in range(20):
         result = run_round(make_pool(ledger), ledger, net, random.Random(round_no),
                            round_no, 0.0)
         assert result.decision.outcome == "committed"
-    assert calls == []
+    # one tally per round, of the creator's inbox: at most n vote arrivals
+    assert len(calls) == 20
+    assert INBOXES_READ == list(range(20))
 
 
 def test_equivocating_creator_is_decided_at_every_node(monkeypatch):
     ledger = genesis_of(32)
-    calls = count_calls(monkeypatch)
+    calls = count_tallies(monkeypatch)
     net = NetworkModel(drop_probability=0.05,
                        byzantine={ledger.validators[3]: Behavior.EQUIVOCATE})
-    # its two variants split the votes, so the creator's tally is not asked
+    # a byzantine creator is not tallied first: every node is, once
     run_round(make_pool(ledger, n=3), ledger, net, random.Random(1), 3, 0.0)
-    assert len(calls) == 1
+    assert len(calls) == 32
 
 
 # --- exhaustive small-depth interleaving check ---

@@ -122,8 +122,10 @@ def test_bad_signature_rejected():
     assert validate_stateless(bad).code == BAD_SIGNATURE
 
 
-def test_malformed_address_rejected():
-    tx = make_transaction(1.0, "nonsense", SINK, tok("1.00"), TxKind.SALE)
+@pytest.mark.parametrize("sender", ["nonsense", ALICE + "\n"],
+                         ids=["nonsense", "trailing-newline"])
+def test_malformed_address_rejected(sender):
+    tx = make_transaction(1.0, sender, SINK, tok("1.00"), TxKind.SALE)
     assert validate_stateless(tx).code == UNKNOWN_ADDRESS
 
 
@@ -583,6 +585,15 @@ def import_with(tx_fields=None, **block_fields):
 def test_import_rejects_malformed_amounts(value):
     with pytest.raises(ParseError, match="^line 1: "):
         import_with({"amount": value})
+
+
+@pytest.mark.parametrize("text", ["0.00", "0e0", "0.0e+0"])
+def test_import_rejects_timestamps_spelled_another_way(text):
+    # the genesis timestamp 0.0, spelled in forms `export_chain` never writes
+    line = export_text(fresh_ledger()).splitlines()[0]
+    assert '"timestamp":0.0,' in line
+    with pytest.raises(ParseError, match="^line 1: "):
+        import_chain(line.replace('"timestamp":0.0,', f'"timestamp":{text},', 1) + "\n")
 
 
 @pytest.mark.parametrize("kind", ["bogus", "", "ALLOCATION", 7, None, ["allocation"],
