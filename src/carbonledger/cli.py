@@ -137,7 +137,7 @@ def cmd_report(args) -> int:
 
     try:
         # each trip is charged the tokens it paid on the verified chain, read
-        # from the same block records that were verified; the population is
+        # from the same blocks that were verified; the population is
         # parsed, as `open` would decode it, from the bytes that were hashed
         persons, trips, _ = population.load_population(*(
             io.TextIOWrapper(io.BytesIO(inputs[name]), newline="")
@@ -181,7 +181,7 @@ def cmd_inspect(args) -> int:
                 print(json.dumps({
                     "tx_id": tx.tx_id, "timestamp": tx.timestamp,
                     "sender": tx.sender, "receiver": tx.receiver,
-                    "amount": str(tx.amount), "kind": tx.kind.value,
+                    "amount": tx.amount_text, "kind": tx.kind_text,
                     "description": tx.description,
                 }))
         elif args.height is not None:
@@ -194,8 +194,8 @@ def cmd_inspect(args) -> int:
             height, pos = chain.tx_index[args.tx]
             tx = chain.chain[height].txs[pos]
             print(json.dumps({"height": height, "position": pos,
-                              "tx_id": tx.tx_id, "amount": str(tx.amount),
-                              "kind": tx.kind.value, "sender": tx.sender,
+                              "tx_id": tx.tx_id, "amount": tx.amount_text,
+                              "kind": tx.kind_text, "sender": tx.sender,
                               "receiver": tx.receiver}))
         else:
             total_txs = sum(len(b.txs) for b in chain.chain)

@@ -24,11 +24,19 @@ view shows the value's state until that value is extended with
 failed `apply_block` writes nothing.
 
 Wallet state is only ever changed by `fold_transaction`, which folds one
-transaction, built or as a record, into a balance map: a root's first read,
-`apply_block`, `validate_pool`, `verify_chain` and the simulator's pending
-batch all use it.  It never refuses a transfer; each caller checks the
-sender's balance as it needs to (reject the transaction, raise, or report a
-violation).
+transaction into a balance map: a root's first read, `apply_block`,
+`validate_pool`, `verify_chain` and the simulator's pending batch all use
+it.  It never refuses a transfer; each caller checks the sender's balance as
+it needs to (reject the transaction, raise, or report a violation).
+
+A transaction has one form, built or imported: a `TokenTransaction` tuple of
+the export's fields in the export's order, its amount and kind held as the
+text the export writes and the hashes cover (`amount_text`, `kind_text`).
+`make_transaction` renders that text once; the `amount` and `kind`
+properties read it back as a `TokenAmount` and a `TxKind`.  A `Block` is a
+tuple too, so `import_chain` builds each block and transaction straight
+from its line, and `verify_chain`, the folds and `Ledger.transfers()` read
+the stored text as it is, with no second form to convert to.
 
 `export_chain` writes a chain to an open text file one transaction's JSON
 at a time, and `import_chain` reads an open file one line at a time, so
@@ -36,18 +44,6 @@ neither holds the whole export as text, and the export holds no whole
 block line either.  Bytes that are not UTF-8 raise
 `UnicodeDecodeError` from whichever line holds them; the caller that opened
 the file reports it (the CLI exits 2 for it, as for any malformed export).
-
-A root from `import_chain` holds each block as a record: a tuple of the
-values the export's line gave, with one compact tuple per transaction in
-the export's field order, the amount and kind kept as their checked text
-(see "records" below).  It builds its `Block`s, `TokenTransaction`s and
-`TokenAmount`s only when its `chain`, `head`, balances, tx index or history
-is first read (`inspect` does), and then holds those instead.
-`verify_chain` reads `Ledger.block_records()`, which gives an imported
-root's records as they are and renders any other chain's blocks to the same
-tuples, so there is one verification path.  `Ledger.transfers()` gives the
-report its trip payments and grants from either form without rendering, so
-neither `verify` nor `report` builds a chain object.
 
 Transaction and block hashes are SHA-256 over canonical field strings.
 Attestations (transaction signatures, block signatures, votes) are keyed
@@ -65,7 +61,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 from .tokens import TokenAmount, check_amount_text
 
@@ -117,34 +113,46 @@ class TxKind(Enum):
 
 _ALLOCATION_VALUE = TxKind.ALLOCATION.value
 _TRIP_PAYMENT_VALUE = TxKind.TRIP_PAYMENT.value
-# each kind's text, so that the records of an import share one string per kind
+_KINDS = {kind.value: kind for kind in TxKind}
+# each kind's text, so that the transactions of an import share one string per kind
 _KIND_VALUES = {kind.value: kind.value for kind in TxKind}
 
 
-@dataclass(frozen=True)
-class TokenTransaction:
+def _centi(amount_text: str) -> int:
+    """The centi-tokens of an amount's text, "-?<whole>.<2 digits>" as
+    `str(TokenAmount)` writes it."""
+    return int(amount_text.replace(".", ""))
+
+
+class TokenTransaction(NamedTuple):
+    """A transaction as the export writes it: its fields in the export's
+    order, the amount and kind as their text."""
+
     tx_id: str
     timestamp: float
     sender: str
     receiver: str
-    amount: TokenAmount
-    kind: TxKind
+    amount_text: str
+    kind_text: str
     description: str = ""
     signature: str = ""
 
+    @property
+    def amount(self) -> TokenAmount:
+        return TokenAmount(_centi(self.amount_text))
+
+    @property
+    def kind(self) -> TxKind:
+        return _KINDS[self.kind_text]
+
     def payload_fields(self) -> tuple[str, ...]:
-        """Every field except tx_id and signature, rendered as hashed."""
-        return _render_payload(self.timestamp, self.sender, self.receiver, str(self.amount),
-                               self.kind.value, self.description)
+        """Every field except tx_id and signature, as hashed."""
+        return (repr(self.timestamp), self.sender, self.receiver, self.amount_text,
+                self.kind_text, self.description)
 
     def canonical(self) -> str:
         """Full record line, the unit hashed into blocks."""
         return _canonical_line(self.tx_id, self.payload_fields(), self.signature)
-
-
-def _render_payload(timestamp: float, sender: str, receiver: str, amount: str, kind: str,
-                    description: str) -> tuple[str, ...]:
-    return (repr(timestamp), sender, receiver, amount, kind, description)
 
 
 # `verify_chain` renders each tx once and derives both forms below from it
@@ -165,14 +173,14 @@ def make_transaction(
     description: str = "",
 ) -> TokenTransaction:
     """Build a signed transaction; tx_id is the payload digest."""
+    amount_text = str(amount)
     tx_id = _payload_digest(
-        _render_payload(timestamp, sender, receiver, str(amount), kind.value, description))
-    return TokenTransaction(tx_id, timestamp, sender, receiver, amount, kind, description,
-                            sign_payload(sender, tx_id))
+        (repr(timestamp), sender, receiver, amount_text, kind.value, description))
+    return TokenTransaction(tx_id, timestamp, sender, receiver, amount_text, kind.value,
+                            description, sign_payload(sender, tx_id))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     height: int
     prev_hash: str
     txs: tuple[TokenTransaction, ...]
@@ -180,48 +188,6 @@ class Block:
     block_hash: str
     # (validator address, attestation) pairs, sorted by address
     signatures: tuple[tuple[str, str], ...] = ()
-
-
-# --- records ------------------------------------------------------------------
-#
-# The form `import_chain` keeps and `verify_chain` reads: a block record is
-# the tuple (height, prev_hash, txs, creator, block_hash, signatures), in
-# `Block`'s field order, with the [address, attestation] pairs the export
-# gave.  Each of its txs is the tuple of the export's `_TX_FIELDS` values,
-# the amount and kind as their text.  An imported root's records hold their
-# txs in a tuple; a block rendered for the walk gives them one at a time.
-
-TxRecord = tuple  # (tx_id, timestamp, sender, receiver, amount, kind, description, signature)
-BlockRecord = tuple  # (height, prev_hash, txs, creator, block_hash, signatures)
-
-
-def _tx_record(tx: TokenTransaction) -> TxRecord:
-    return (tx.tx_id, tx.timestamp, tx.sender, tx.receiver, str(tx.amount), tx.kind.value,
-            tx.description, tx.signature)
-
-
-def _block_record(block: Block) -> BlockRecord:
-    # the txs are rendered as the walk reads them, not held per block
-    return (block.height, block.prev_hash, map(_tx_record, block.txs), block.creator,
-            block.block_hash, block.signatures)
-
-
-def _centi(amount: str) -> int:
-    """The centi-tokens of a record's amount, "-?<whole>.<2 digits>" as
-    `str(TokenAmount)` writes it."""
-    return int(amount.replace(".", ""))
-
-
-def _tx_from_record(record: TxRecord) -> TokenTransaction:
-    tx_id, timestamp, sender, receiver, amount, kind, description, signature = record
-    return TokenTransaction(tx_id, timestamp, sender, receiver, TokenAmount(_centi(amount)),
-                            TxKind(kind), description, signature)
-
-
-def _block_from_record(record: BlockRecord) -> Block:
-    height, prev_hash, txs, creator, block_hash, signatures = record
-    return Block(height, prev_hash, tuple(map(_tx_from_record, txs)), creator, block_hash,
-                 tuple(map(tuple, signatures)))
 
 
 def compute_block_hash(
@@ -236,8 +202,7 @@ def _block_digest(height: int, prev_hash: str, creator: str, lines: Sequence[str
 
 
 def with_signatures(block: Block, signatures: Iterable[tuple[str, str]]) -> Block:
-    return Block(block.height, block.prev_hash, block.txs, block.creator, block.block_hash,
-                 tuple(sorted(signatures)))
+    return block._replace(signatures=tuple(sorted(signatures)))
 
 
 # --- validation -------------------------------------------------------------
@@ -334,34 +299,24 @@ class ParseError(LedgerError):
 class Ledger:
     """Chain plus derived wallet state; values are immutable after commit.
 
-    The constructor makes a root from a chain and its validator addresses;
-    the root folds its chain the first time its state is read.  A root that
-    `import_chain` made holds block records and builds its blocks from them
-    the first time its chain or state is read.  The values
-    derived with `apply_block` share the state owned by the one derived
-    last; reading any other (superseded) value refolds its chain from its
-    root in O(height).  A `balances` or `tx_index` view holds until its
-    value is extended (see the module docstring).
+    The constructor makes a root from a chain and its validator addresses,
+    built or imported alike; the root folds its chain the first time its
+    state is read.  The values derived with `apply_block` share the state
+    owned by the one derived last; reading any other (superseded) value
+    refolds its chain from its root in O(height).  A `balances` or
+    `tx_index` view holds until its value is extended (see the module
+    docstring).
     """
 
-    __slots__ = ("validators", "_parent", "_head", "_blocks", "_records", "_balances",
-                 "_tx_index", "_minted")
+    __slots__ = ("validators", "_parent", "_head", "_blocks", "_balances", "_tx_index",
+                 "_minted")
 
     def __init__(self, chain: Sequence[Block], validators: Iterable[str]):
         self.validators = tuple(validators)
         self._parent: Optional[Ledger] = None
-        self._records: Optional[list[BlockRecord]] = None
-        self._blocks: Optional[list[Block]] = list(chain)
+        self._blocks = list(chain)
         self._head = self._blocks[-1] if self._blocks else None
         self._balances: Optional[dict[str, int]] = None  # until the first read
-
-    def _built(self) -> list[Block]:
-        """This value's block list; a root holding records builds it from
-        them first, and then holds the blocks only."""
-        if self._blocks is None:
-            self._blocks = [_block_from_record(record) for record in self._records]
-            self._head, self._records = self._blocks[-1], None
-        return self._blocks
 
     def _state(self) -> tuple[dict[str, int], dict[str, tuple[int, int]], list[Block]]:
         """This value's wallet map, tx index and block list: a root folds its
@@ -373,7 +328,7 @@ class Ledger:
         structures exactly while its head is their last block.
         """
         if self._balances is None:
-            self._balances, self._tx_index, self._minted = _fold_blocks(self._built(), {}, {})
+            self._balances, self._tx_index, self._minted = _fold_blocks(self._blocks, {}, {})
         elif self._parent is not None and self._blocks[-1] is not self._head:
             heads = []
             node = self
@@ -399,7 +354,7 @@ class Ledger:
         while node._parent is not None and node._blocks[-1] is not node._head:
             heads.append(node._head)
             node = node._parent
-        return tuple(node._built()) + tuple(reversed(heads))
+        return tuple(node._blocks) + tuple(reversed(heads))
 
     @property
     def minted_centi(self) -> int:
@@ -419,7 +374,7 @@ class Ledger:
 
     @property
     def head(self) -> Block:
-        return self._head if self._blocks is not None else self._built()[-1]
+        return self._head
 
     @property
     def height(self) -> int:
@@ -432,27 +387,13 @@ class Ledger:
     def balance(self, address: str) -> TokenAmount:
         return TokenAmount(self.balances.get(address, 0))
 
-    def block_records(self) -> Iterator[BlockRecord]:
-        """Each block as a record, genesis first: the records a root from
-        `import_chain` holds, else the chain's blocks rendered one at a time.
-        Builds no `Block` or `TokenTransaction`."""
-        if self._records is not None:
-            return iter(self._records)
-        return map(_block_record, self.chain)
-
     def transfers(self, kind: TxKind) -> Iterator[tuple[int, str, str, str, TokenAmount]]:
         """(height, sender, receiver, description, amount) of each committed
-        transaction of `kind`, genesis first.  Read off the records of a root
-        from `import_chain`, or else off the chain's blocks, so it builds
-        no `Block` or `TokenTransaction` and renders nothing."""
-        if self._records is not None:
-            value = kind.value
-            return ((height, sender, receiver, description, TokenAmount(_centi(amount)))
-                    for height, _, txs, *_ in self._records
-                    for _, _, sender, receiver, amount, tx_kind, description, _ in txs
-                    if tx_kind == value)
-        return ((block.height, tx.sender, tx.receiver, tx.description, tx.amount)
-                for block in self.chain for tx in block.txs if tx.kind is kind)
+        transaction of `kind`, genesis first."""
+        value = kind.value
+        return ((block.height, tx.sender, tx.receiver, tx.description,
+                 TokenAmount(_centi(tx.amount_text)))
+                for block in self.chain for tx in block.txs if tx.kind_text == value)
 
     # -- stateful validation --
 
@@ -474,12 +415,12 @@ class Ledger:
             if res.ok:
                 if tx.tx_id in seen or tx.tx_id in tx_index:
                     res = _reject(DUPLICATE_TRANSACTION, f"tx {tx.tx_id[:12]} duplicated")
-                elif tx.kind is not TxKind.ALLOCATION:
+                elif tx.kind_text != _ALLOCATION_VALUE:
                     have = scratch.get(tx.sender, 0)
-                    if have < tx.amount.centi:
+                    if have < _centi(tx.amount_text):
                         res = _reject(
                             INSUFFICIENT_TOKENS,
-                            f"balance {TokenAmount(have)}, requested {tx.amount}",
+                            f"balance {TokenAmount(have)}, requested {tx.amount_text}",
                         )
             if res.ok:
                 fold_transaction(scratch, tx)
@@ -519,10 +460,10 @@ class Ledger:
             if tx.tx_id in tx_index or tx.tx_id in indexed:
                 raise DuplicateCommit(tx.tx_id)
             minted += fold_transaction(written, tx)
-            if tx.kind is not TxKind.ALLOCATION and written[tx.sender] < 0:
+            if tx.kind_text != _ALLOCATION_VALUE and written[tx.sender] < 0:
                 raise NegativeBalanceWouldResult(
                     f"{tx.sender} would hold {TokenAmount(written[tx.sender])} "
-                    f"after paying {tx.amount}")
+                    f"after paying {tx.amount_text}")
             indexed[tx.tx_id] = (block.height, pos)
         # conservation is asserted on every commit: transfers cannot create
         # or destroy tokens, only allocations mint.  This value's wallets sum
@@ -539,7 +480,7 @@ class Ledger:
         new = Ledger.__new__(Ledger)
         new.validators = self.validators
         new._minted = self._minted + minted
-        new._parent, new._head, new._records = self, block, None
+        new._parent, new._head = self, block
         new._balances, new._tx_index, new._blocks = balances, tx_index, blocks
         return new
 
@@ -572,19 +513,14 @@ class Overlay(dict):
         return TokenAmount(self.get(address, 0))
 
 
-def fold_transaction(balances: dict[str, int], tx: TokenTransaction | TxRecord) -> int:
-    """Fold one transaction, built or as a record, into a balance map;
-    returns centi-tokens minted.
+def fold_transaction(balances: dict[str, int], tx: TokenTransaction) -> int:
+    """Fold one transaction into a balance map; returns centi-tokens minted.
 
     Always writes and never raises: a transfer may leave its sender below
     zero, and each caller decides what that means.
     """
-    if type(tx) is tuple:  # a record: the amount and kind as their text
-        _, _, sender, receiver, amount, kind, _, _ = tx
-        centi, minted = _centi(amount), kind == _ALLOCATION_VALUE
-    else:
-        sender, receiver = tx.sender, tx.receiver
-        centi, minted = tx.amount.centi, tx.kind is TxKind.ALLOCATION
+    _, _, sender, receiver, amount_text, kind_text, _, _ = tx
+    centi, minted = _centi(amount_text), kind_text == _ALLOCATION_VALUE
     if not minted:
         balances[sender] = balances.get(sender, 0) - centi
     balances[receiver] = balances.get(receiver, 0) + centi
@@ -658,15 +594,14 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
     """Walk genesis to head recomputing every hash, link, attestation and the
     full wallet fold.  Violations are report entries, never exceptions.
 
-    The walk takes one `_ChainCheck.step` per record of
-    `ledger.block_records()`, so a root from `import_chain` is verified in
-    the form the file gave, and builds no `Block` or `TokenTransaction`.
-    The fold is compared with the stored state only on a value `apply_block`
-    derived: a root's state is its chain's fold by construction.
+    The walk takes one `_ChainCheck.step` per block of `ledger.chain` and
+    hashes each transaction's text as stored.  The fold is compared with the
+    stored state only on a value `apply_block` derived: a root's state is
+    its chain's fold by construction.
     """
     check = _ChainCheck(ledger.validators)
-    for record in ledger.block_records():
-        check.step(record)
+    for block in ledger.chain:
+        check.step(block)
     return check.report(ledger.balances if ledger._parent is not None else None)
 
 
@@ -688,9 +623,9 @@ class _ChainCheck:
         self.blocks = 0
         self.head_hash = ""
 
-    def step(self, record: BlockRecord) -> None:
+    def step(self, block: Block) -> None:
         """Check the next block."""
-        height, prev_hash, txs, creator, block_hash, signatures = record
+        height, prev_hash, txs, creator, block_hash, signatures = block
         i = self.blocks
         self.blocks, self.head_hash = i + 1, block_hash
         found = self.found
@@ -703,8 +638,8 @@ class _ChainCheck:
         tx_found = []
         balances, seen_tx, minted = self.balances, self.seen_tx, 0
         for tx in txs:
-            tx_id, timestamp, sender, receiver, amount, kind, description, signature = tx
-            fields = _render_payload(timestamp, sender, receiver, amount, kind, description)
+            tx_id, _, sender, _, _, kind_text, _, signature = tx
+            fields = tx.payload_fields()
             lines.append(_canonical_line(tx_id, fields, signature))
             res = _check_stateless(tx_id, fields, signature)
             if not res.ok:
@@ -718,7 +653,7 @@ class _ChainCheck:
             # a negative balance is reported and the fold goes on, so one bad
             # amount does not mask later violations
             minted += fold_transaction(balances, tx)
-            if kind != _ALLOCATION_VALUE and balances[sender] < 0:
+            if kind_text != _ALLOCATION_VALUE and balances[sender] < 0:
                 tx_found.append(
                     Violation(i, "negative_balance",
                               f"{sender} dips to {TokenAmount(balances[sender])}")
@@ -775,6 +710,8 @@ class _ChainCheck:
 # the fields `_tx_to_obj` writes, all strings but the float timestamp
 _TX_FIELDS = ("tx_id", "timestamp", "sender", "receiver", "amount", "kind",
               "description", "signature")
+# the fields of a block's line, in the order `_block_fragments` writes them
+_BLOCK_FIELDS = ("height", "prev_hash", "creator", "block_hash", "signatures", "txs")
 
 
 def _tx_to_obj(tx: TokenTransaction) -> dict:
@@ -783,14 +720,14 @@ def _tx_to_obj(tx: TokenTransaction) -> dict:
         "timestamp": tx.timestamp,
         "sender": tx.sender,
         "receiver": tx.receiver,
-        "amount": str(tx.amount),
-        "kind": tx.kind.value,
+        "amount": tx.amount_text,
+        "kind": tx.kind_text,
         "description": tx.description,
         "signature": tx.signature,
     }
 
 
-def _tx_record_from_obj(obj: dict) -> TxRecord:
+def _tx_from_obj(obj: dict) -> TokenTransaction:
     # every field is read below, so with the right count there is no other key
     if len(obj) != len(_TX_FIELDS):
         raise ParseError(f"bad transaction record: fields must be {list(_TX_FIELDS)}")
@@ -810,10 +747,10 @@ def _tx_record_from_obj(obj: dict) -> TxRecord:
         kind = _KIND_VALUES.get(kind) or TxKind(kind)  # TxKind raises, naming the kind
     except ValueError as exc:
         raise ParseError(f"bad transaction record: {exc}") from exc
-    # a chain names the same few thousand addresses again and again, and one
-    # string per address keeps the records smaller than the built objects
-    return (tx_id, timestamp, sys.intern(sender), sys.intern(receiver), amount, kind,
-            description, signature)
+    # a chain names the same few thousand addresses again and again: keep
+    # one string per address
+    return TokenTransaction(tx_id, timestamp, sys.intern(sender), sys.intern(receiver),
+                            amount, kind, description, signature)
 
 
 # what `json.dumps(obj, separators=(",", ":"))` builds on every call
@@ -866,48 +803,48 @@ def export_chain(ledger: Ledger, out: TextIO) -> None:
 
 def import_chain(source: str | TextIO) -> Ledger:
     """Parse an export, given as its text or as an open text file, back into
-    a Ledger root that holds each block as a record (see "records" above).
+    a Ledger root of `Block`s and `TokenTransaction`s.
 
     A file is read one line at a time.  Lines are the ones `str.splitlines`
     gives either way, so U+2028 and the other Unicode line breaks end a line
     in a file as they do in a string.  Parsing checks shape and field types
     only: hashes and balances are *not* enforced here, so a tampered file
     imports fine and `verify_chain` does the detecting.  The validator set is
-    recovered from the genesis signatures.  The root builds its blocks only
-    when its chain or state is first read (see `Ledger`).
+    recovered from the genesis signatures.
     """
     lines = (source.splitlines() if isinstance(source, str)
              else (line for physical in source for line in physical.splitlines()))
-    records: list[BlockRecord] = []
+    blocks: list[Block] = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             obj = _EXPORT_JSON.decode(line)
+            # every field is read below, so with the right count there is no other key
+            if len(obj) != len(_BLOCK_FIELDS):
+                raise ParseError(f"bad block: fields must be {list(_BLOCK_FIELDS)}")
             if type(obj["height"]) is not int:
                 raise ParseError("height must be an integer")
+            signatures = []
             for sig in obj["signatures"]:
                 if not (type(sig) is list and len(sig) == 2
                         and isinstance(sig[0], str) and isinstance(sig[1], str)):
                     raise ParseError("a signature entry is not a pair of strings")
-                sig[0] = sys.intern(sig[0])  # one string per validator address
-            record = (obj["height"], obj["prev_hash"],
-                      tuple([_tx_record_from_obj(t) for t in obj["txs"]]),
-                      obj["creator"], obj["block_hash"], obj["signatures"])
-            _, prev_hash, _, creator, block_hash, _ = record
-            if not (isinstance(prev_hash, str) and isinstance(creator, str)
-                    and isinstance(block_hash, str)):
+                # one string per validator address
+                signatures.append((sys.intern(sig[0]), sig[1]))
+            block = Block(obj["height"], obj["prev_hash"],
+                          tuple([_tx_from_obj(t) for t in obj["txs"]]),
+                          obj["creator"], obj["block_hash"], tuple(signatures))
+            if not (isinstance(block.prev_hash, str) and isinstance(block.creator, str)
+                    and isinstance(block.block_hash, str)):
                 raise ParseError("prev_hash, creator and block_hash must be strings")
         except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError,
                 ParseError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        records.append(record)
-    if not records:
+        blocks.append(block)
+    if not blocks:
         raise ParseError("no blocks in export")
-
-    root = Ledger((), (a for a, _ in records[0][-1]))
-    root._records, root._blocks = records, None
-    return root
+    return Ledger(blocks, (a for a, _ in blocks[0].signatures))
 
 
 def export_wallets(ledger: Ledger) -> str:

@@ -159,7 +159,6 @@ def test_criterion_04_throughput_and_latency(paper_scale_day):
 
 @pytest.mark.slow
 def test_criterion_05_tamper_evidence():
-    import dataclasses
     users = [derive_address(f"user-{i}") for i in range(4)]
     mint = derive_address("mint")
     sink = derive_address("sink")
@@ -174,7 +173,7 @@ def test_criterion_05_tamper_evidence():
                make_transaction(float(i + 1) + 0.5, sender, sink,
                                 TokenAmount(7), TxKind.SALE, f"hop {i}b")]
         block = build_block(txs, validators[i % 4], ledger.head)
-        signed = dataclasses.replace(block, signatures=tuple(sorted(
+        signed = block._replace(signatures=tuple(sorted(
             (v, block_attestation(v, block.block_hash))
             for v in validators)))
         ledger = ledger.apply_block(signed)

@@ -30,7 +30,6 @@ from carbonledger.market import (
     equal_split_grants,
 )
 from carbonledger.tokens import TokenAmount, total
-import dataclasses
 
 PRICE = PricePolicy(20.0)
 BUS = BusChargingPolicy(seats_per_bus=50.55)
@@ -48,7 +47,7 @@ def tok(s):
 
 def commit(ledger, txs):
     block = build_block(txs, VALIDATORS[0], ledger.head)
-    signed = dataclasses.replace(block, signatures=tuple(sorted(
+    signed = block._replace(signatures=tuple(sorted(
         (v, block_attestation(v, block.block_hash)) for v in VALIDATORS
     )))
     return ledger.apply_block(signed)

@@ -17,7 +17,7 @@ import pytest
 import carbonledger
 from carbonledger.cli import main as cli_main
 from carbonledger.emissions import Mode
-from carbonledger.ledger import (TxKind, _tx_from_record, _tx_record_from_obj, block_to_line,
+from carbonledger.ledger import (Block, TokenTransaction, TxKind, _tx_from_obj, block_to_line,
                                  export_chain, import_chain, validate_stateless, verify_chain)
 from carbonledger.market import MARKET_ADDRESS, RETIREMENT_ADDRESS
 from carbonledger.population import load_profile, write_population, generate_synthetic
@@ -264,7 +264,7 @@ def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):
     assert all(int(r["last_round"]) - int(r["first_round"]) + 1 == 3  # max_round_retries
                and r["last_outcome"] in ("no_quorum", "round_timeout") for r in rows)
     pools = [r["tx_ids"].split(";") for r in rows]
-    failed = [_tx_from_record(_tx_record_from_obj(json.loads(line)))
+    failed = [_tx_from_obj(json.loads(line))
               for line in (tmp_path / "failed_txs.ndjson").read_text().splitlines()]
     assert [tx.tx_id for tx in failed] == [tx_id for pool in pools for tx_id in pool]
     assert all(validate_stateless(tx).ok and tx.tx_id not in result.ledger.tx_index
@@ -286,6 +286,34 @@ def test_different_seeds_diverge():
     a = run(small_config())
     b = run(small_config(seed=8))
     assert a.ledger.head.block_hash != b.ledger.head.block_hash
+
+
+def _typed(value):
+    """`value` with the type of every tuple in it, so that a NamedTuple and a
+    plain tuple of the same values compare unequal."""
+    if isinstance(value, tuple):
+        return type(value), tuple(map(_typed, value))
+    return type(value), value
+
+
+def test_built_and_imported_chains_hold_the_same_typed_objects(tmp_path):
+    # what the benchmark's day check reads: `Block`s of `TokenTransaction`s
+    # whose `kind` is a `TxKind` and whose `amount` is a `TokenAmount`
+    overrides, _ = GOLDEN_DAYS["7 validators, 10% drops, silent and equivocating nodes"]
+    result = run(SimulationConfig(seed=7, **overrides), out_dir=tmp_path)
+    with open(tmp_path / "ledger.ndjson", encoding="utf-8") as fh:
+        imported = import_chain(fh).chain
+    built = result.ledger.chain
+    assert len(imported) == len(built) > 1
+    for chain in (built, imported):
+        for block in chain:
+            assert type(block) is Block
+            for tx in block.txs:
+                assert type(tx) is TokenTransaction
+                assert tx.kind is TxKind(tx.kind_text)
+                assert tx.amount == TokenAmount.parse(tx.amount_text)
+    for height, (built_block, imported_block) in enumerate(zip(built, imported)):
+        assert _typed(imported_block) == _typed(built_block), height
 
 
 def test_zero_trip_day_leaves_only_genesis(tmp_path):
