@@ -72,7 +72,7 @@ def cmd_simulate(args) -> int:
         if cfg.out_dir is None:
             cfg.out_dir = "out"
         result = simulator.run(cfg, out_dir=cfg.out_dir)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, RecursionError,
             population.SchemaError, population.DanglingUserRef,
             consensus.UnsafeFaultConfig, ledger_mod.LedgerError,
             market.MarketError, emissions.EmissionsError) as exc:
@@ -115,7 +115,7 @@ def cmd_report(args) -> int:
         chain, manifest = _load_run_dir(run_dir)
         inputs = simulator.read_report_inputs(run_dir)
     except (MissingArtifact, OSError, ValueError,
-            ledger_mod.ParseError, json.JSONDecodeError) as exc:
+            ledger_mod.ParseError, json.JSONDecodeError, RecursionError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
 
     # provenance: the exported chain must still verify and match the manifest,
@@ -218,7 +218,7 @@ def cmd_synth(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         population.write_population(persons, trips,
                                     out / "persons.csv", out / "trips.csv")
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)
     print(f"wrote {len(persons)} persons, {len(trips)} trips to {out}")
     return EXIT_OK

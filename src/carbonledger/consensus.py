@@ -378,14 +378,16 @@ def run_round(
 
     # --- decision: an honest creator is tallied first, and every node only
     # when the creator does not commit ---
-    quorum = ledger.quorum
-    anchor = (None if proposer in byzantine else
-              tally_votes(vote_sent.inbox(round_no % n, round_deadline, votes), quorum))
+    quorum, creator = ledger.quorum, round_no % n
+    own = None if proposer in byzantine else vote_sent.inbox(creator, round_deadline, votes)
+    anchor = None if own is None else tally_votes(own, quorum)
     if anchor is not None and anchor.block_hash is not None:
         fork_hashes = (anchor.block_hash,)
-    else:
-        inboxes = [vote_sent.inbox(j, round_deadline, votes) for j in range(n)]
-        tallies = [tally_votes(inbox, quorum) for inbox in inboxes]
+    else:  # every node's inbox and tally, the creator's reused
+        inboxes = [own if j == creator and own is not None
+                   else vote_sent.inbox(j, round_deadline, votes) for j in range(n)]
+        tallies = [anchor if j == creator and anchor is not None
+                   else tally_votes(inbox, quorum) for j, inbox in enumerate(inboxes)]
         committers = [(v, tally) for v, tally in zip(validators, tallies)
                       if tally.block_hash is not None and v not in byzantine]
 

@@ -1,27 +1,25 @@
 """Append-only hash-chained token ledger.
 
 A `Ledger` value is a block chain plus the wallet state obtained by folding
-it.  Values are immutable: `apply_block` returns a new value and leaves the
-input as it was, so snapshots can be handed to readers freely while the
-single consensus commit path appends.
+it.  The single consensus commit path extends it: `apply_block` returns a
+new value, and only the newest one, the tip, has state.
 
 A root (from `create_genesis`, `import_chain` or the constructor) is only
 its blocks and its validator addresses: the first read of its balances, tx
 index or minted total folds its chain, and reading `chain`, `head` or
-`height` folds nothing.  The values derived with `apply_block` share one
-wallet map, tx index and block list, and the value derived last owns them,
-so a commit costs O(block) rather than O(wallets + height).  Each value
-keeps its parent and its head block.  Reading the wallet state of a value
-that does not own the shared state (one that has since been extended, or a
-sibling derived from the same parent) refolds its chain from its root's
-state in O(height); the value then owns that fresh copy.  Its `chain` is
-read through the parent links and folds nothing.  A root's state is never
-written after its fold, so every refold starts from it.
+`height` folds nothing.  A root's state is never written after its fold,
+and the first `apply_block` on a root copies it, so many values can be
+derived from one root.  The values derived from there share one wallet
+map, tx index and block list, so a commit costs O(block) rather than
+O(wallets + height).  A derived value owns them while its head is their
+last block; once it is extended, reading its state or chain, or extending
+it again, raises `StaleLedger`.  Its `head`, `height`, `validators` and
+`quorum` are its own and stay readable.
 
 `balances` and `tx_index` are read-only views of the maps a value owns.  A
-view shows the value's state until that value is extended with
-`apply_block`; copy it (`dict(ledger.balances)`) to keep it longer.  A
-failed `apply_block` writes nothing.
+view shows the value's state until that value is extended; copy it
+(`dict(ledger.balances)`) to keep it longer.  A failed `apply_block` writes
+nothing.
 
 Wallet state is only ever changed by `fold_transaction`, which folds one
 transaction into a balance map: a root's first read, `apply_block`,
@@ -293,73 +291,53 @@ class ParseError(LedgerError):
     pass
 
 
+class StaleLedger(LedgerError):
+    """A ledger value was read or extended after it had been extended."""
+
+
 # --- ledger -----------------------------------------------------------------
 
 
 class Ledger:
-    """Chain plus derived wallet state; values are immutable after commit.
+    """Chain plus derived wallet state; only the tip can be read or extended.
 
     The constructor makes a root from a chain and its validator addresses,
     built or imported alike; the root folds its chain the first time its
-    state is read.  The values derived with `apply_block` share the state
-    owned by the one derived last; reading any other (superseded) value
-    refolds its chain from its root in O(height).  A `balances` or
-    `tx_index` view holds until its value is extended (see the module
-    docstring).
+    state is read (see the module docstring).
     """
 
-    __slots__ = ("validators", "_parent", "_head", "_blocks", "_balances", "_tx_index",
+    __slots__ = ("validators", "_derived", "_head", "_blocks", "_balances", "_tx_index",
                  "_minted")
 
     def __init__(self, chain: Sequence[Block], validators: Iterable[str]):
         self.validators = tuple(validators)
-        self._parent: Optional[Ledger] = None
+        self._derived = False  # whether `apply_block` made this value
         self._blocks = list(chain)
         self._head = self._blocks[-1] if self._blocks else None
         self._balances: Optional[dict[str, int]] = None  # until the first read
 
-    def _state(self) -> tuple[dict[str, int], dict[str, tuple[int, int]], list[Block]]:
-        """This value's wallet map, tx index and block list: a root folds its
-        chain on first read, and a derived value refolds from its root first
-        unless it owns them.
+    def _tip_blocks(self) -> list[Block]:
+        """This value's block list, which each value derived from it appends
+        to: a derived value owns it while its head is the last block."""
+        if self._derived and self._blocks[-1] is not self._head:
+            raise StaleLedger(f"the ledger value at height {self._head.height} was extended")
+        return self._blocks
 
-        Only the owner of shared state appends to it, and each append raises
-        the height of its last block by one, so a derived value owns its
-        structures exactly while its head is their last block.
-        """
+    def _state(self) -> tuple[dict[str, int], dict[str, tuple[int, int]], list[Block]]:
+        """This value's wallet map, tx index and block list; a root folds on first read."""
         if self._balances is None:
             self._balances, self._tx_index, self._minted = _fold_blocks(self._blocks, {}, {})
-        elif self._parent is not None and self._blocks[-1] is not self._head:
-            heads = []
-            node = self
-            while node._parent is not None:
-                heads.append(node._head)
-                node = node._parent
-            heads.reverse()
-            balances, tx_index, blocks = node._state()
-            self._balances, self._tx_index, _ = _fold_blocks(
-                heads, dict(balances), dict(tx_index))
-            self._blocks = blocks + heads
-        return self._balances, self._tx_index, self._blocks
+        return self._balances, self._tx_index, self._tip_blocks()
 
     # -- introspection --
 
     @property
     def chain(self) -> tuple[Block, ...]:
-        # a root's blocks, and those of the value that owns shared state, are
-        # its chain; a superseded value walks its parents to the nearest such
-        # value, and nothing is folded
-        heads = []
-        node = self
-        while node._parent is not None and node._blocks[-1] is not node._head:
-            heads.append(node._head)
-            node = node._parent
-        return tuple(node._blocks) + tuple(reversed(heads))
+        return tuple(self._tip_blocks())  # folds nothing
 
     @property
     def minted_centi(self) -> int:
-        if self._balances is None:
-            self._state()
+        self._state()
         return self._minted
 
     @property
@@ -436,9 +414,10 @@ class Ledger:
         """Fold one committed block; returns a new ledger value.
 
         Every check runs before the shared structures are written, so a
-        block that fails leaves this value exactly as it was.  The new value
-        owns the state it shares with this one (see the module docstring).
+        block that fails leaves this value exactly as it was.  Once one
+        succeeds, a derived value is stale (see the module docstring).
         """
+        balances, tx_index, blocks = self._state()
         if block.prev_hash != self.head.block_hash or block.height != self.height + 1:
             raise BrokenChainLink(
                 f"block {block.height} does not extend head {self.height}"
@@ -452,7 +431,6 @@ class Ledger:
             raise QuorumMissing(
                 f"{len(valid_sigs)} valid signatures, quorum is {self.quorum}"
             )
-        balances, tx_index, blocks = self._state()
         written = Overlay(balances)
         indexed: dict[str, tuple[int, int]] = {}
         minted = 0
@@ -472,7 +450,7 @@ class Ledger:
         if sum(c - balances.get(a, 0) for a, c in written.items()) != minted:
             raise LedgerError("token conservation broken after block "
                               f"{block.height}: wallets != minted")
-        if self._parent is None:  # a root's state is never written after its fold
+        if not self._derived:  # a root's state is never written after its fold
             balances, tx_index, blocks = dict(balances), dict(tx_index), list(blocks)
         balances.update(written)
         tx_index.update(indexed)
@@ -480,7 +458,7 @@ class Ledger:
         new = Ledger.__new__(Ledger)
         new.validators = self.validators
         new._minted = self._minted + minted
-        new._parent, new._head = self, block
+        new._derived, new._head = True, block
         new._balances, new._tx_index, new._blocks = balances, tx_index, blocks
         return new
 
@@ -602,7 +580,7 @@ def verify_chain(ledger: Ledger) -> VerificationReport:
     check = _ChainCheck(ledger.validators)
     for block in ledger.chain:
         check.step(block)
-    return check.report(ledger.balances if ledger._parent is not None else None)
+    return check.report(ledger.balances if ledger._derived else None)
 
 
 class _ChainCheck:
@@ -838,8 +816,8 @@ def import_chain(source: str | TextIO) -> Ledger:
             if not (isinstance(block.prev_hash, str) and isinstance(block.creator, str)
                     and isinstance(block.block_hash, str)):
                 raise ParseError("prev_hash, creator and block_hash must be strings")
-        except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError,
-                ParseError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError, IndexError,
+                ValueError, ParseError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         blocks.append(block)
     if not blocks:

@@ -241,6 +241,32 @@ def test_verify_garbage_file_exits_2(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "ParseError"
 
 
+DEEP_JSON = "[" * 10_000 + "]" * 10_000
+
+
+@pytest.mark.parametrize("entry", ["verify", "inspect", "report", "simulate -c",
+                                   "simulate --profile", "synth --profile"])
+def test_json_nested_too_deep_exits_2(tmp_path, capsys, entry):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    if entry == "report":
+        run_cli(capsys, "simulate", "-c", str(base_config(tmp_path)))
+        (tmp_path / "out" / "manifest.json").write_text(DEEP_JSON)
+        argv = ["report", str(tmp_path / "out")]
+    elif entry == "simulate --profile":
+        argv = ["simulate", "-c", str(base_config(tmp_path)), "--profile", str(deep)]
+    elif entry == "synth --profile":
+        argv = ["synth", "--profile", str(deep), "--out", str(tmp_path / "pop")]
+    else:
+        argv = [*entry.split(), str(deep)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    payload = json.loads(err.strip())
+    assert set(payload) == {"error", "detail"}
+    if entry in ("verify", "inspect"):
+        assert payload["error"] == "ParseError" and payload["detail"].startswith("line 1:")
+
+
 @pytest.mark.parametrize("command", ["verify", "inspect"])
 def test_non_utf8_ledger_file_exits_2(tmp_path, capsys, command):
     bad = tmp_path / "bad.ndjson"

@@ -629,9 +629,9 @@ class UnreadRows(consensus.Deliveries):
         return super().inbox(j, *args)
 
 
-def test_honest_creator_decides_without_counting_every_node(monkeypatch):
-    ledger = genesis_of(32)
-    calls = count_tallies(monkeypatch)
+def read_votes_by_inbox(monkeypatch):
+    """Make each round's vote deliveries `UnreadRows`, so that every inbox
+    read is recorded in `INBOXES_READ`."""
     network, phases = consensus.simulate_network, itertools.cycle(["proposal", "votes"])
 
     def votes_read_by_inbox(*args):
@@ -640,6 +640,12 @@ def test_honest_creator_decides_without_counting_every_node(monkeypatch):
 
     monkeypatch.setattr(consensus, "simulate_network", votes_read_by_inbox)
     INBOXES_READ.clear()
+
+
+def test_honest_creator_decides_without_counting_every_node(monkeypatch):
+    ledger = genesis_of(32)
+    calls = count_tallies(monkeypatch)
+    read_votes_by_inbox(monkeypatch)
     net = NetworkModel(drop_probability=0.05)
     for round_no in range(20):
         result = run_round(make_pool(ledger), ledger, net, random.Random(round_no),
@@ -648,6 +654,21 @@ def test_honest_creator_decides_without_counting_every_node(monkeypatch):
     # one tally per round, of the creator's inbox: at most n vote arrivals
     assert len(calls) == 20
     assert INBOXES_READ == list(range(20))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_creator_short_of_quorum_is_tallied_once(monkeypatch, seed):
+    ledger = make_ledger()
+    calls = count_tallies(monkeypatch)
+    read_votes_by_inbox(monkeypatch)
+    net = NetworkModel(drop_probability=0.3)
+    run_round(make_pool(ledger), ledger, net, random.Random(seed), 0, 0.0)
+    # the honest creator's tally did not commit, so every node is counted,
+    # the creator first and only once
+    assert tally_votes(*calls[0]).block_hash is None
+    assert len(calls) == len(ledger.validators)
+    assert sorted(INBOXES_READ) == list(range(len(ledger.validators)))
+    assert INBOXES_READ[0] == 0
 
 
 def test_equivocating_creator_is_decided_at_every_node(monkeypatch):

@@ -24,6 +24,7 @@ from carbonledger.ledger import (
     NegativeBalanceWouldResult,
     ParseError,
     QuorumMissing,
+    StaleLedger,
     TxKind,
     UnknownAddress,
     block_attestation,
@@ -274,7 +275,7 @@ def test_minting_totals_accumulate():
     assert sum(ledger.balances.values()) == ledger.minted_centi
 
 
-# --- persistence: values share state, superseded values refold it ---
+# --- persistence: values share state, and only the tip can be read ---
 
 
 def snapshot(ledger: Ledger):
@@ -308,8 +309,9 @@ def test_block_failing_part_way_leaves_input_unchanged(failure):
     after = commit(ledger, [first])
     assert after.balance(ALICE) == tok("40.00")
     assert after.tx_index[first.tx_id] == (2, 0)
-    assert after.minted_centi == ledger.minted_centi
-    assert snapshot(ledger) == before
+    assert after.minted_centi == before[3]
+    with pytest.raises(StaleLedger):
+        snapshot(ledger)
 
 
 def test_two_children_of_one_parent_stay_independent():
@@ -329,49 +331,97 @@ def test_two_children_of_one_parent_stay_independent():
     assert child_a.chain[-1].txs == (pay_a,)
     assert child_b.balance(SINK) == tok("0.00")
     assert child_a.balance(SINK) == tok("10.00")
-    # extending a value that is not the one read last
+    # extending one child leaves its sibling, which owns a copy of the
+    # root's state, as it was
     grandchild = commit(child_b, [pay_a])
     assert child_a.balance(ALICE) == tok("90.00")
     assert grandchild.balance(ALICE) == tok("115.00")
-    assert [len(v.chain) for v in (parent, child_a, child_b, grandchild)] == [1, 2, 2, 3]
+    assert [len(v.chain) for v in (parent, child_a, grandchild)] == [1, 2, 3]
     assert verify_chain(grandchild).ok and verify_chain(child_a).ok
+    # a derived value has one successor: a second one raises
+    with pytest.raises(StaleLedger):
+        commit(child_b, [payment(BOB, SINK, "1.00", ts=12.0)])
+    assert grandchild.chain[-1].txs == (pay_a,)
+
+
+def stale_reads(ledger: Ledger):
+    """Every read of a ledger value's state or chain, one callable each."""
+    return {
+        "balances": lambda: ledger.balances,
+        "tx_index": lambda: ledger.tx_index,
+        "minted_centi": lambda: ledger.minted_centi,
+        "balance": lambda: ledger.balance(ALICE),
+        "transfers": lambda: ledger.transfers(TxKind.ALLOCATION),
+        "chain": lambda: ledger.chain,
+        "query_history": lambda: ledger.query_history(ALICE),
+        "verify_chain": lambda: verify_chain(ledger),
+        "validate_pool": lambda: ledger.validate_pool([payment(ALICE, SINK, "1.00")]),
+        "apply_block": lambda: ledger.apply_block(signed_block(ledger, [
+            payment(ALICE, SINK, "1.00", ts=99.0, description="trip:stale")])),
+    }
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_persistent_values_match_dict_copy_oracle(data):
-    # oracle: every value carries its own copied dicts, as an eager ledger would
+def test_tip_matches_dict_copy_oracle(data):
+    # oracle: the tip's state as an eager ledger would copy it on every block
     parties = [ALICE, BOB, SINK]
-    values = [fresh_ledger("20.00", "20.00")]
-    oracle = [snapshot(values[0])]
+    root = tip = fresh_ledger("20.00", "20.00")
+    oracle = root_oracle = snapshot(root)
+    superseded = []
     for step in range(data.draw(st.integers(1, 25))):
-        i = data.draw(st.integers(0, len(values) - 1))
-        if data.draw(st.booleans()):
-            v = data.draw(st.integers(0, len(values) - 1))
-            assert snapshot(values[v]) == oracle[v]
+        if superseded and data.draw(st.booleans()):
+            old = data.draw(st.sampled_from(superseded))
+            read = data.draw(st.sampled_from(sorted(stale_reads(old))))
+            with pytest.raises(StaleLedger):
+                stale_reads(old)[read]()
             continue
-        balances, tx_index, chain, minted, _ = oracle[i]
+        balances, tx_index, chain, minted, _ = oracle
         sender = data.draw(st.sampled_from(parties))
         receiver = data.draw(st.sampled_from([p for p in parties if p != sender]))
         amount = data.draw(st.integers(1, 2500))
         kind = data.draw(st.sampled_from([TxKind.SALE, TxKind.ALLOCATION]))
         tx = make_transaction(float(step), sender, receiver, TokenAmount(amount), kind)
-        block = signed_block(values[i], [tx])
+        block = signed_block(tip, [tx])
         if kind is TxKind.SALE and balances.get(sender, 0) < amount:
             with pytest.raises(NegativeBalanceWouldResult):
-                values[i].apply_block(block)
-            assert snapshot(values[i]) == oracle[i]
-            continue
-        balances = dict(balances)
-        if kind is TxKind.SALE:
-            balances[sender] -= amount
-        balances[receiver] = balances.get(receiver, 0) + amount
-        minted += amount if kind is TxKind.ALLOCATION else 0
-        values.append(values[i].apply_block(block))
-        oracle.append((balances, {**tx_index, tx.tx_id: (block.height, 0)},
-                       chain + (block,), minted, block))
-    for v in data.draw(st.permutations(range(len(values)))):
-        assert snapshot(values[v]) == oracle[v]
+                tip.apply_block(block)
+        else:
+            balances = dict(balances)
+            if kind is TxKind.SALE:
+                balances[sender] -= amount
+            balances[receiver] = balances.get(receiver, 0) + amount
+            minted += amount if kind is TxKind.ALLOCATION else 0
+            new = tip.apply_block(block)
+            # the root keeps its state; every value derived from it goes stale
+            if tip.height > 0:
+                superseded.append(tip)
+            tip = new
+            oracle = (balances, {**tx_index, tx.tx_id: (block.height, 0)},
+                      chain + (block,), minted, block)
+        assert snapshot(tip) == oracle
+    assert snapshot(root) == root_oracle
+
+
+def test_superseded_value_raises_stale_ledger(monkeypatch):
+    root = fresh_ledger("500.00", "500.00")
+    old = commit(root, [payment(ALICE, SINK, "1.00", ts=1.0, description="trip:a")])
+    head, validators = old.head, old.validators
+    new = commit(old, [payment(ALICE, BOB, "2.00", ts=2.0, description="trip:c")])
+    folds = []
+    fold = ledger_mod.fold_transaction
+    monkeypatch.setattr(ledger_mod, "fold_transaction",
+                        lambda balances, tx: folds.append(tx) or fold(balances, tx))
+    for read in stale_reads(old).values():
+        with pytest.raises(StaleLedger):
+            read()
+    assert folds == []  # nothing refolds
+    # a value's own fields stay readable
+    assert (old.head, old.height, old.validators, old.quorum) == (head, 1, validators, 3)
+    # the tip and the root still read as they did
+    assert new.balance(ALICE) == tok("497.00") and len(new.chain) == 3
+    assert root.balance(ALICE) == tok("500.00") and root.chain == new.chain[:1]
+    assert verify_chain(new).ok
 
 
 # --- chain verification ---
@@ -523,27 +573,6 @@ def test_history_agrees_in_memory_and_imported():
     for owner in (ALICE, BOB, SINK, MINT, VALIDATORS[0], "ab" * 20):
         assert history(ledger, owner) == history(imported, owner)
     assert history(ledger, VALIDATORS[0]) == "unknown"
-
-
-def test_superseded_value_reads_its_chain_without_folding(monkeypatch):
-    old = fresh_ledger("500.00", "500.00")
-    for i in range(25):
-        old = commit(old, [payment(ALICE, SINK, "1.00", ts=float(i),
-                                   description=f"trip:a{i}"),
-                           payment(BOB, SINK, "1.00", ts=float(i), description=f"trip:b{i}")])
-    new = commit(old, [payment(ALICE, BOB, "2.00", ts=30.0, description="trip:c")])
-    folds = []
-    fold = ledger_mod.fold_transaction
-    monkeypatch.setattr(ledger_mod, "fold_transaction",
-                        lambda balances, tx: folds.append(tx) or fold(balances, tx))
-    assert len(old.chain) == 26
-    assert old.chain == new.chain[:-1]
-    assert old.query_history(ALICE) == [tx for block in new.chain[:-1] for tx in block.txs
-                                        if ALICE in (tx.sender, tx.receiver)]
-    assert folds == []
-    # its wallet state still refolds from the root
-    assert old.balance(ALICE) == tok("475.00")
-    assert len(folds) == 50
 
 
 def test_history_unknown_address_raises():
