@@ -72,8 +72,10 @@ def cmd_simulate(args) -> int:
         if cfg.out_dir is None:
             cfg.out_dir = "out"
         result = simulator.run(cfg, out_dir=cfg.out_dir)
+    # ArithmeticError: a config number so large that pricing or the
+    # metrics overflow
     except (OSError, ValueError, KeyError, json.JSONDecodeError, RecursionError,
-            population.SchemaError, population.DanglingUserRef,
+            ArithmeticError, population.SchemaError, population.DanglingUserRef,
             consensus.UnsafeFaultConfig, ledger_mod.LedgerError,
             market.MarketError, emissions.EmissionsError) as exc:
         return _fail(exc, EXIT_INPUT_ERROR)

@@ -18,7 +18,9 @@ Timing model (all simulated; link delays configured in milliseconds):
 * the round's commit instant and its voters are the moment and the
   voters with which H reached quorum at one anchor node, as `tally_votes`
   counts them: the winning block's creator when it committed, otherwise
-  the earliest honest node that did.  The creator's own vote is free, so
+  the earliest honest node that did.  Those voters sign the block:
+  `Ledger.apply_block` takes the unsigned proposal and their addresses
+  and writes one attestation per voter.  The creator's own vote is free, so
   with honest nodes and zero drops the expected commit latency is
   ``max_delay + lo + (hi − lo) · (quorum − 1) / n``
   (the (quorum−1)-th order statistic of n−1 uniform link delays);
@@ -34,9 +36,10 @@ round (a byzantine creator, or one short of quorum) builds each node's
 on-time inbox and tallies it, in O(ballots × n); the honest committers,
 the failed round's largest count and whether any vote was lost or late are
 all read from those tallies.  Either way the round draws its n² deliveries
-in `simulate_network`, but it computes a vote's arrival only where a tally
-reads it: at the creator, one inbox of at most n arrivals
-(`Deliveries.inbox`); in the other rounds, every node's.
+in `simulate_network`, but it computes an arrival only where it is read:
+the proposal's at the validators it reached (`Deliveries.reached`); a
+vote's at the creator, one inbox of at most n arrivals
+(`Deliveries.inbox`), and in the other rounds at every node.
 
 Draw order: each round calls `simulate_network` twice, for the proposal
 and then the votes, and both calls draw from the one round rng.  A
@@ -66,6 +69,7 @@ is in effect ``silent``.  With ``lo = 0`` its sends sometimes land on time.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -76,12 +80,10 @@ from .ledger import (
     Block,
     Ledger,
     TokenTransaction,
-    block_attestation,
     build_block,
     compute_block_hash,
     digest,
     max_faulty,
-    with_signatures,
 )
 
 DELAY_FACTOR = 5.0  # slowdown applied to a `delay` node's outgoing messages
@@ -114,12 +116,17 @@ class NetworkModel:
     drop_probability: float = 0.0
     byzantine: Mapping[str, Behavior] = field(default_factory=dict)
     unsafe_faults: bool = False
+    # the `delay` senders, whose sends are DELAY_FACTOR times slower
+    slow: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.drop_probability < 1):
             raise ValueError("drop probability must be in [0, 1)")
-        if self.delay_ms_low < 0 or self.delay_ms_high < self.delay_ms_low:
-            raise ValueError("delay bounds must satisfy 0 <= lo <= hi")
+        if not 0 <= self.delay_ms_low <= self.delay_ms_high < math.inf:
+            raise ValueError("delay bounds must satisfy 0 <= delay_ms_low <= delay_ms_high "
+                             f"< inf, got {self.delay_ms_low} and {self.delay_ms_high}")
+        object.__setattr__(self, "slow", frozenset(
+            a for a, b in self.byzantine.items() if b is Behavior.DELAY))
 
     @property
     def p99_delay_ms(self) -> float:
@@ -171,18 +178,15 @@ class Deliveries(NamedTuple):
                 if u is not None and (t := send_time if own == j else
                                       send_time + (lo + span * u) * factor / 1000.0) <= deadline]
 
-    def rows(self) -> list[list[Optional[float]]]:
-        """One row per broadcast of each destination's arrival, or None if
-        that send was dropped."""
-        lo, span, width, flat = self.lo, self.span, self.width, self.flat
-        rows = []
-        for b, (send_time, factor, own) in enumerate(self.senders):
-            row = [None if u is None else send_time + (lo + span * u) * factor / 1000.0
-                   for u in flat[b * width:(b + 1) * width]]
-            if own >= 0:
-                row[own] = send_time
-            rows.append(row)
-        return rows
+    def reached(self, b: int, deadline: float) -> list[int]:
+        """The destinations, in order, that broadcast `b` reached by
+        `deadline`; the sender's own copy arrives at its send time.  Only the
+        arrivals of delivered sends are computed."""
+        lo, span, width = self.lo, self.span, self.width
+        send_time, factor, own = self.senders[b]
+        return [j for j, u in enumerate(self.flat[b * width:(b + 1) * width])
+                if u is not None and (send_time if j == own else
+                                      send_time + (lo + span * u) * factor / 1000.0) <= deadline]
 
 
 def simulate_network(
@@ -199,7 +203,7 @@ def simulate_network(
     all other sends are taken in one pass and the self sends slotted in.
     """
     index = {dst: j for j, dst in enumerate(dsts)}
-    slow = {a for a, b in network.byzantine.items() if b is Behavior.DELAY}
+    slow = network.slow
     # x * 1.0 == x exactly, so an unslowed delay is `lo + span * u` as drawn
     senders = [(send_time, DELAY_FACTOR if src in slow else 1.0, index.get(src, -1))
                for src, send_time in broadcasts]
@@ -216,8 +220,7 @@ def simulate_network(
                       network.delay_ms_high - network.delay_ms_low)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     round: int
     outcome: str  # "committed" | "no_quorum" | "round_timeout"
     block_hash: Optional[str]
@@ -331,7 +334,6 @@ def run_round(
     # --- proposal phase: an equivocating proposer sends every other
     # validator a conflicting variant ---
     broadcasts: list[tuple[str, float]] = []
-    payloads: list[Block] = []
     proposals: dict[str, Block] = {}
     beh = byzantine.get(proposer)
     if beh is not Behavior.SILENT:
@@ -339,42 +341,35 @@ def run_round(
         variant = (_equivocation_variant(pool, proposer, head)
                    if beh is Behavior.EQUIVOCATE else None)
         proposals = {b.block_hash: b for b in (block, variant) if b is not None}
-        payloads = [variant if (variant is not None and i % 2 == 1) else block
-                    for i in range(n)]
         broadcasts = [(proposer, start_time)]
     prop_sent = simulate_network(broadcasts, validators, network, rng)
 
-    # each validator receives at most one proposal; each distinct proposal is
-    # checked once however many validators receive it
-    candidate: dict[str, Block] = {}
-    verdicts: dict[str, bool] = {}
-    for row in prop_sent.rows():
-        for dst, block, t in zip(validators, payloads, row):
-            if t is None or t > prop_deadline:
-                continue
-            valid = verdicts.get(block.block_hash)
-            if valid is None:
-                valid = verdicts[block.block_hash] = _proposal_valid(block, ledger)
-            if valid:
-                candidate[dst] = block
-
-    # --- vote phase: each cast (voter, hash) is broadcast to every validator ---
-    ballots: list[tuple[str, tuple[str, ...]]] = []
+    # --- vote phase, one walk over the validators the proposal reached in
+    # time: each checks what it received (each distinct proposal once) and,
+    # unless silent, broadcasts its vote to every validator; an equivocator
+    # broadcasts a fabricated hash after its chosen one ---
+    votes: list[tuple[str, str]] = []
+    vote_broadcasts: list[tuple[str, float]] = []
     equivocations: list[tuple[str, int, tuple[str, ...]]] = []
-    for v in validators:
+    verdicts: dict[str, bool] = {}
+    for j in prop_sent.reached(0, prop_deadline) if broadcasts else ():
+        received = variant if variant is not None and j % 2 == 1 else block
+        choice = received.block_hash
+        valid = verdicts.get(choice)
+        if valid is None:
+            valid = verdicts[choice] = _proposal_valid(received, ledger)
+        v = validators[j]
         beh = byzantine.get(v)
-        if beh is Behavior.SILENT or v not in candidate:
+        if not valid or beh is Behavior.SILENT:
             continue
-        choice = candidate[v].block_hash
+        votes.append((v, choice))
+        vote_broadcasts.append((v, prop_deadline))
         if beh is Behavior.EQUIVOCATE:
             fake = digest("equivocation", v, str(round_no))
-            ballots.append((v, (choice, fake)))
+            votes.append((v, fake))
+            vote_broadcasts.append((v, prop_deadline))
             equivocations.append((v, round_no, (choice, fake)))
-        else:
-            ballots.append((v, (choice,)))
-    votes = [(v, h) for v, hashes in ballots for h in hashes]
-    vote_sent = simulate_network(
-        [(v, prop_deadline) for v, _ in votes], validators, network, rng)
+    vote_sent = simulate_network(vote_broadcasts, validators, network, rng)
 
     # --- decision: an honest creator is tallied first, and every node only
     # when the creator does not commit ---
@@ -404,7 +399,8 @@ def run_round(
             # round_timeout: a quorum was cast but votes were lost or late;
             # no_quorum: the cast votes could never have formed one, or split
             late_or_dropped = any(len(inbox) < len(votes) for inbox in inboxes)
-            outcome = ("round_timeout" if len(ballots) >= quorum and late_or_dropped
+            ballots = len(votes) - len(equivocations)  # the validators that voted
+            outcome = ("round_timeout" if ballots >= quorum and late_or_dropped
                        else "no_quorum")
             return RoundResult(
                 Decision(round_no, outcome, None, max(tally.best for tally in tallies)),
@@ -415,18 +411,15 @@ def run_round(
         # earliest honest node that did
         anchor = min(committers, key=lambda vt: (vt[1].commit_time, vt[0], vt[1].voters))[1]
 
-    block = proposals[anchor.block_hash]
-    final = with_signatures(block, (
-        (addr, block_attestation(addr, block.block_hash)) for addr in anchor.voters))
-    decision = Decision(round_no, "committed", block.block_hash, len(anchor.voters))
+    committed = ledger.apply_block(proposals[anchor.block_hash], anchor.voters)
+    decision = Decision(round_no, "committed", anchor.block_hash, len(anchor.voters))
     return RoundResult(
-        decision, final, ledger.apply_block(final), anchor.commit_time, proposer,
+        decision, committed.head, committed, anchor.commit_time, proposer,
         fork_hashes, equivocations, (prop_sent, vote_sent),
     )
 
 
-@dataclass
-class TraceRow:
+class TraceRow(NamedTuple):
     round: int
     proposer: str
     block_hash: str

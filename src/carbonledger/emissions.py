@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
 from enum import Enum
@@ -166,8 +167,9 @@ class PricePolicy:
     price_cad_per_tonne: float = 20.0
 
     def __post_init__(self):
-        if self.price_cad_per_tonne <= 0:
-            raise ValueError("price must be positive")
+        if not 0 < self.price_cad_per_tonne < math.inf:
+            raise ValueError("price_cad_per_tonne must be positive and finite, "
+                             f"got {self.price_cad_per_tonne}")
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,9 @@ class BusChargingPolicy:
     seats_per_bus: float = 50.55
 
     def __post_init__(self):
-        if self.seats_per_bus <= 0:
-            raise ValueError("seats_per_bus must be positive")
+        if not 0 < self.seats_per_bus < math.inf:
+            raise ValueError(
+                f"seats_per_bus must be positive and finite, got {self.seats_per_bus}")
 
 
 def average_speed(trip: TripRecord) -> float:

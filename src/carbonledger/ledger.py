@@ -44,10 +44,13 @@ block line either.  Bytes that are not UTF-8 raise
 the file reports it (the CLI exits 2 for it, as for any malformed export).
 
 Transaction and block hashes are SHA-256 over canonical field strings.
-Attestations (transaction signatures, block signatures, votes) are keyed
-digests bound to the signer's address — a desk-scale stand-in that keeps
-the quorum arithmetic honest while leaving room to swap in real asymmetric
-signatures behind the same interface.
+Signatures are keyed digests bound to the signer's address — a desk-scale
+stand-in that keeps the quorum arithmetic honest while leaving room to swap
+in real asymmetric signatures behind the same interface.  A transaction is
+signed when it is made.  A block is proposed unsigned: `apply_block` takes
+it with the addresses of its quorum voters and writes each voter's
+attestation once, as it appends the block.  `verify_chain` checks every
+attestation of a chain, built or imported, one at a time.
 """
 
 from __future__ import annotations
@@ -197,10 +200,6 @@ def compute_block_hash(
 def _block_digest(height: int, prev_hash: str, creator: str, lines: Sequence[str]) -> str:
     """Block hash over the canonical lines of its transactions."""
     return digest("blk", str(height), prev_hash, creator, *lines)
-
-
-def with_signatures(block: Block, signatures: Iterable[tuple[str, str]]) -> Block:
-    return block._replace(signatures=tuple(sorted(signatures)))
 
 
 # --- validation -------------------------------------------------------------
@@ -410,11 +409,15 @@ class Ledger:
 
     # -- commit path --
 
-    def apply_block(self, block: Block) -> "Ledger":
-        """Fold one committed block; returns a new ledger value.
+    def apply_block(self, block: Block, signers: Iterable[str]) -> "Ledger":
+        """Attest and fold one committed block; returns a new ledger value.
 
-        Every check runs before the shared structures are written, so a
-        block that fails leaves this value exactly as it was.  Once one
+        `block` is the unsigned proposal and `signers` the addresses of its
+        quorum voters.  Each distinct signer that is a validator of this
+        ledger counts once, and the others are left out; the block is
+        appended with one `block_attestation` per counted signer, sorted by
+        address.  Every check runs before the shared structures are written,
+        so a block that fails leaves this value exactly as it was.  Once one
         succeeds, a derived value is stale (see the module docstring).
         """
         balances, tx_index, blocks = self._state()
@@ -422,14 +425,12 @@ class Ledger:
             raise BrokenChainLink(
                 f"block {block.height} does not extend head {self.height}"
             )
-        valid_sigs = {
-            addr
-            for addr, att in block.signatures
-            if addr in self.validators and att == block_attestation(addr, block.block_hash)
-        }
-        if len(valid_sigs) < self.quorum:
+        if block.signatures:
+            raise LedgerError(f"block {block.height} is already signed")
+        counted = set(signers).intersection(self.validators)
+        if len(counted) < self.quorum:
             raise QuorumMissing(
-                f"{len(valid_sigs)} valid signatures, quorum is {self.quorum}"
+                f"{len(counted)} validator signers, quorum is {self.quorum}"
             )
         written = Overlay(balances)
         indexed: dict[str, tuple[int, int]] = {}
@@ -452,6 +453,9 @@ class Ledger:
                               f"{block.height}: wallets != minted")
         if not self._derived:  # a root's state is never written after its fold
             balances, tx_index, blocks = dict(balances), dict(tx_index), list(blocks)
+        block_hash = block.block_hash
+        block = block._replace(signatures=tuple(
+            [(addr, block_attestation(addr, block_hash)) for addr in sorted(counted)]))
         balances.update(written)
         tx_index.update(indexed)
         blocks.append(block)

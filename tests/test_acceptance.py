@@ -21,7 +21,6 @@ from carbonledger.consensus import (
 )
 from carbonledger.ledger import (
     TxKind,
-    block_attestation,
     build_block,
     create_genesis,
     derive_address,
@@ -172,11 +171,8 @@ def test_criterion_05_tamper_evidence():
                                 TokenAmount(100 + i), TxKind.SALE, f"hop {i}"),
                make_transaction(float(i + 1) + 0.5, sender, sink,
                                 TokenAmount(7), TxKind.SALE, f"hop {i}b")]
-        block = build_block(txs, validators[i % 4], ledger.head)
-        signed = block._replace(signatures=tuple(sorted(
-            (v, block_attestation(v, block.block_hash))
-            for v in validators)))
-        ledger = ledger.apply_block(signed)
+        ledger = ledger.apply_block(build_block(txs, validators[i % 4], ledger.head),
+                                    validators)
     assert len(ledger.chain) == 201
     assert verify_chain(ledger).ok
 

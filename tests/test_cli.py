@@ -75,6 +75,12 @@ def test_simulate_missing_trips_file_exits_2_with_json(tmp_path, capsys):
     ({"cap_tokens": "5.005", "synthetic_users": 5}, "cap_tokens"),
     ({"cap_tokens": "1e3", "synthetic_users": 5}, "cap_tokens"),
     ({"initial_pool_tokens": "abc", "synthetic_users": 5}, "initial_pool_tokens"),
+    # json.dumps writes these as Infinity, -Infinity and NaN
+    ({"price_cad_per_tonne": float("inf"), "synthetic_users": 5}, "price_cad_per_tonne"),
+    ({"price_cad_per_tonne": float("nan"), "synthetic_users": 5}, "price_cad_per_tonne"),
+    ({"seats_per_bus": float("inf"), "synthetic_users": 5}, "seats_per_bus"),
+    ({"delays_ms": [10.0, float("inf")], "synthetic_users": 5}, "delay_ms_high"),
+    ({"delays_ms": [float("-inf"), 20.0], "synthetic_users": 5}, "delay_ms_low"),
 ])
 def test_simulate_mistyped_config_exits_2(tmp_path, capsys, config, named):
     path = tmp_path / "day.json"
@@ -83,6 +89,20 @@ def test_simulate_mistyped_config_exits_2(tmp_path, capsys, config, named):
     assert code == 2
     payload = json.loads(err.strip())
     assert payload["error"] == "ValueError" and named in payload["detail"]
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"price_cad_per_tonne": 1e308, "synthetic_users": 5}, "InvalidOperation"),
+    ({"delays_ms": [10.0, 1e308], "synthetic_users": 5}, "OverflowError"),
+])
+def test_overflowing_config_number_exits_2(tmp_path, capsys, config, error):
+    # finite, but pricing or the latency metrics overflow
+    path = tmp_path / "day.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "simulate", "-c", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    line, = err.splitlines()
+    assert json.loads(line)["error"] == error
 
 
 def test_simulate_with_byzantine_flag(tmp_path, capsys):

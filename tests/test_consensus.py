@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carbonledger import consensus
+from carbonledger import consensus, ledger as ledger_mod
 from carbonledger.consensus import (
     Behavior,
     ConsensusEngine,
@@ -133,9 +133,24 @@ def test_quorum_arithmetic_intersection():
 # --- simulate_network ---
 
 
+def rows_of(deliveries):
+    """One row per broadcast of each destination's arrival, or None if that
+    send was dropped: every arrival computed, the oracle that the arrival
+    readers of `Deliveries` are compared against."""
+    lo, span, width, flat = deliveries.lo, deliveries.span, deliveries.width, deliveries.flat
+    rows = []
+    for b, (send_time, factor, own) in enumerate(deliveries.senders):
+        row = [None if u is None else send_time + (lo + span * u) * factor / 1000.0
+               for u in flat[b * width:(b + 1) * width]]
+        if own >= 0:
+            row[own] = send_time
+        rows.append(row)
+    return rows
+
+
 def arrivals_of(deliveries):
     """Every send's arrival, broadcast by broadcast."""
-    return [t for row in deliveries.rows() for t in row]
+    return [t for row in rows_of(deliveries) for t in row]
 
 
 def test_identical_seed_identical_schedule():
@@ -218,7 +233,7 @@ def test_deliveries_match_the_per_send_rows(world):
     broadcasts, dsts, net, seed = world
     ours, theirs = random.Random(seed), random.Random(seed)
     delivered = simulate_network(broadcasts, dsts, net, ours)
-    assert delivered.rows() == reference_rows(broadcasts, dsts, net, theirs)
+    assert rows_of(delivered) == reference_rows(broadcasts, dsts, net, theirs)
     assert ours.random() == theirs.random()
 
 
@@ -227,13 +242,24 @@ def test_deliveries_match_the_per_send_rows(world):
 def test_columns_and_drops_read_the_rows(world, deadline):
     broadcasts, dsts, net, seed = world
     delivered = simulate_network(broadcasts, dsts, net, random.Random(seed))
-    rows = delivered.rows()
+    rows = rows_of(delivered)
     assert delivered.dropped == sum(row.count(None) for row in rows)
     payloads = [(src, str(b)) for b, (src, _) in enumerate(broadcasts)]
     for j in range(len(dsts)):
         assert delivered.inbox(j, deadline, payloads) == [
             (row[j], src, content) for (src, content), row in zip(payloads, rows)
             if row[j] is not None and row[j] <= deadline]
+
+
+@settings(max_examples=200, deadline=None)
+@given(broadcast_worlds(), st.sampled_from([0.0, 0.0125, 37.51, 100.13, 100.2]))
+def test_reached_reads_the_rows(world, deadline):
+    # drops, `delay` senders and outsiders, whose sends all take draws
+    broadcasts, dsts, net, seed = world
+    delivered = simulate_network(broadcasts, dsts, net, random.Random(seed))
+    for b, row in enumerate(rows_of(delivered)):
+        assert delivered.reached(b, deadline) == [
+            j for j, t in enumerate(row) if t is not None and t <= deadline]
 
 
 # --- count_first_votes against tally_votes ---
@@ -586,7 +612,7 @@ def test_decision_matches_the_all_node_anchor_rule(world):
 
     def recording(broadcasts, dsts, model, rng):
         delivered = network(broadcasts, dsts, model, rng)
-        sent.append((list(broadcasts), delivered.rows()))
+        sent.append((list(broadcasts), rows_of(delivered)))
         return delivered
 
     with pytest.MonkeyPatch.context() as patch:
@@ -620,23 +646,20 @@ def count_tallies(monkeypatch):
 INBOXES_READ = []
 
 
-class UnreadRows(consensus.Deliveries):
-    def rows(self):
-        raise AssertionError("every vote arrival was computed")
-
+class RecordedInboxes(consensus.Deliveries):
     def inbox(self, j, *args):
         INBOXES_READ.append(j)
         return super().inbox(j, *args)
 
 
 def read_votes_by_inbox(monkeypatch):
-    """Make each round's vote deliveries `UnreadRows`, so that every inbox
-    read is recorded in `INBOXES_READ`."""
+    """Make each round's vote deliveries `RecordedInboxes`, so that every
+    inbox read is recorded in `INBOXES_READ`."""
     network, phases = consensus.simulate_network, itertools.cycle(["proposal", "votes"])
 
     def votes_read_by_inbox(*args):
         delivered = network(*args)
-        return UnreadRows(*delivered) if next(phases) == "votes" else delivered
+        return RecordedInboxes(*delivered) if next(phases) == "votes" else delivered
 
     monkeypatch.setattr(consensus, "simulate_network", votes_read_by_inbox)
     INBOXES_READ.clear()
@@ -669,6 +692,35 @@ def test_creator_short_of_quorum_is_tallied_once(monkeypatch, seed):
     assert len(calls) == len(ledger.validators)
     assert sorted(INBOXES_READ) == list(range(len(ledger.validators)))
     assert INBOXES_READ[0] == 0
+
+
+@pytest.mark.parametrize("n, faults", [(4, {}), (32, {3: Behavior.EQUIVOCATE})])
+def test_committed_round_attests_once_per_signer(monkeypatch, n, faults):
+    ledger = genesis_of(n)
+    net = NetworkModel(drop_probability=0.05, byzantine={
+        ledger.validators[i]: behavior for i, behavior in faults.items()})
+    attestations = []
+    digest = ledger_mod.digest
+
+    def counting(*parts):
+        if parts[0] == "commit":
+            attestations.append(parts[1])
+        return digest(*parts)
+
+    monkeypatch.setattr(ledger_mod, "digest", counting)
+    committed = 0
+    for round_no in range(8):
+        attestations.clear()
+        result = run_round(make_pool(ledger, n=3), ledger, net, random.Random(round_no),
+                           round_no, 0.0)
+        if result.block is None:
+            assert attestations == []
+            continue
+        committed += 1
+        signers = [addr for addr, _ in result.block.signatures]
+        assert sorted(attestations) == signers
+        assert len(signers) == result.decision.votes_counted >= ledger.quorum
+    assert committed >= 6
 
 
 def test_equivocating_creator_is_decided_at_every_node(monkeypatch):

@@ -21,6 +21,7 @@ from carbonledger.ledger import (
     DuplicateCommit,
     EmptyPool,
     Ledger,
+    LedgerError,
     NegativeBalanceWouldResult,
     ParseError,
     QuorumMissing,
@@ -69,15 +70,19 @@ def fresh_ledger(alice_grant="493.79", bob_grant="493.79") -> Ledger:
     return create_genesis(VALIDATORS, allocs)
 
 
+def proposal(ledger: Ledger, txs, creator=None):
+    return build_block(txs, creator or VALIDATORS[0], ledger.head)
+
+
 def commit(ledger: Ledger, txs, creator=None) -> Ledger:
-    block = build_block(txs, creator or VALIDATORS[0], ledger.head)
-    signed = block._replace(
-        signatures=tuple(sorted(
-            (v, block_attestation(v, block.block_hash))
-            for v in VALIDATORS
-        )),
-    )
-    return ledger.apply_block(signed)
+    return ledger.apply_block(proposal(ledger, txs, creator), VALIDATORS)
+
+
+def attested(block, signers=VALIDATORS):
+    """`block` as `apply_block` appends it: one attestation per signer,
+    sorted by address."""
+    return block._replace(signatures=tuple(sorted(
+        (v, block_attestation(v, block.block_hash)) for v in signers)))
 
 
 def payment(sender, receiver, amount, ts=10.0, description="trip:t1"):
@@ -240,7 +245,7 @@ def test_apply_requires_quorum():
     block = build_block([payment(ALICE, SINK, "1.00")],
                         VALIDATORS[0], ledger.head)
     with pytest.raises(QuorumMissing):
-        ledger.apply_block(block)  # unsigned proposal
+        ledger.apply_block(block, VALIDATORS[:2])  # quorum is 3
 
 
 def test_apply_requires_chain_link():
@@ -252,7 +257,31 @@ def test_apply_requires_chain_link():
                            block_hash=compute_block_hash(
                                block.height, "f" * 64, block.txs, block.creator))
     with pytest.raises(BrokenChainLink):
-        ledger.apply_block(block)
+        ledger.apply_block(block, VALIDATORS)
+
+
+def test_apply_counts_each_validator_signer_once():
+    ledger = commit(fresh_ledger(), [payment(ALICE, SINK, "1.00", ts=1.0)])
+    before = snapshot(ledger)
+    block = proposal(ledger, [payment(ALICE, SINK, "2.00", ts=2.0, description="trip:t2")])
+    outsider = derive_address("outsider")
+    # two distinct validators, however often named, and an unknown signer
+    with pytest.raises(QuorumMissing, match="2 validator signers"):
+        ledger.apply_block(block, [VALIDATORS[1], outsider, VALIDATORS[1], VALIDATORS[0]])
+    assert snapshot(ledger) == before
+    signers = [VALIDATORS[2], outsider, VALIDATORS[0], VALIDATORS[2], VALIDATORS[1]]
+    committed = ledger.apply_block(block, signers)
+    assert committed.head == attested(block, VALIDATORS[:3])
+    assert verify_chain(committed).ok
+
+
+def test_apply_refuses_a_signed_block():
+    ledger = commit(fresh_ledger(), [payment(ALICE, SINK, "1.00", ts=1.0)])
+    before = snapshot(ledger)
+    block = attested(proposal(ledger, [payment(ALICE, SINK, "2.00", ts=2.0)]))
+    with pytest.raises(LedgerError, match="already signed"):
+        ledger.apply_block(block, VALIDATORS)
+    assert snapshot(ledger) == before
 
 
 def test_apply_is_pure_and_refold_matches():
@@ -283,13 +312,6 @@ def snapshot(ledger: Ledger):
             ledger.minted_centi, ledger.head)
 
 
-def signed_block(ledger: Ledger, txs):
-    block = build_block(txs, VALIDATORS[0], ledger.head)
-    return block._replace(signatures=tuple(sorted(
-        (v, block_attestation(v, block.block_hash)) for v in VALIDATORS
-    )))
-
-
 @pytest.mark.parametrize("failure", ["overspend", "replay"])
 def test_block_failing_part_way_leaves_input_unchanged(failure):
     ledger = fresh_ledger("100.00", "100.00")
@@ -299,11 +321,11 @@ def test_block_failing_part_way_leaves_input_unchanged(failure):
     first = payment(ALICE, SINK, "60.00", ts=1.0)  # folds cleanly
     second = (payment(ALICE, SINK, "60.00", ts=2.0, description="trip:t2")
               if failure == "overspend" else spent)
-    block = signed_block(ledger, [first, second])
+    block = proposal(ledger, [first, second])
     assert block.txs[0] == first
     with pytest.raises(NegativeBalanceWouldResult if failure == "overspend"
                        else DuplicateCommit):
-        ledger.apply_block(block)
+        ledger.apply_block(block, VALIDATORS)
     assert snapshot(ledger) == before
     assert first.tx_id not in ledger.tx_index
     after = commit(ledger, [first])
@@ -356,8 +378,8 @@ def stale_reads(ledger: Ledger):
         "query_history": lambda: ledger.query_history(ALICE),
         "verify_chain": lambda: verify_chain(ledger),
         "validate_pool": lambda: ledger.validate_pool([payment(ALICE, SINK, "1.00")]),
-        "apply_block": lambda: ledger.apply_block(signed_block(ledger, [
-            payment(ALICE, SINK, "1.00", ts=99.0, description="trip:stale")])),
+        "apply_block": lambda: ledger.apply_block(proposal(ledger, [
+            payment(ALICE, SINK, "1.00", ts=99.0, description="trip:stale")]), VALIDATORS),
     }
 
 
@@ -382,23 +404,23 @@ def test_tip_matches_dict_copy_oracle(data):
         amount = data.draw(st.integers(1, 2500))
         kind = data.draw(st.sampled_from([TxKind.SALE, TxKind.ALLOCATION]))
         tx = make_transaction(float(step), sender, receiver, TokenAmount(amount), kind)
-        block = signed_block(tip, [tx])
+        block = proposal(tip, [tx])
         if kind is TxKind.SALE and balances.get(sender, 0) < amount:
             with pytest.raises(NegativeBalanceWouldResult):
-                tip.apply_block(block)
+                tip.apply_block(block, VALIDATORS)
         else:
             balances = dict(balances)
             if kind is TxKind.SALE:
                 balances[sender] -= amount
             balances[receiver] = balances.get(receiver, 0) + amount
             minted += amount if kind is TxKind.ALLOCATION else 0
-            new = tip.apply_block(block)
+            new = tip.apply_block(block, VALIDATORS)
             # the root keeps its state; every value derived from it goes stale
             if tip.height > 0:
                 superseded.append(tip)
             tip = new
             oracle = (balances, {**tx_index, tx.tx_id: (block.height, 0)},
-                      chain + (block,), minted, block)
+                      chain + (attested(block),), minted, attested(block))
         assert snapshot(tip) == oracle
     assert snapshot(root) == root_oracle
 

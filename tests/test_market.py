@@ -14,7 +14,6 @@ from carbonledger.emissions import (
 from carbonledger.ledger import (
     TxKind,
     build_block,
-    block_attestation,
     create_genesis,
     derive_address,
 )
@@ -46,11 +45,7 @@ def tok(s):
 
 
 def commit(ledger, txs):
-    block = build_block(txs, VALIDATORS[0], ledger.head)
-    signed = block._replace(signatures=tuple(sorted(
-        (v, block_attestation(v, block.block_hash)) for v in VALIDATORS
-    )))
-    return ledger.apply_block(signed)
+    return ledger.apply_block(build_block(txs, VALIDATORS[0], ledger.head), VALIDATORS)
 
 
 def bootstrap(market, grants_cap="150.00", initial_pool=None, users=USERS):
