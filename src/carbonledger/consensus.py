@@ -26,6 +26,11 @@ Timing model (all simulated; link delays configured in milliseconds):
   (the (quorum−1)-th order statistic of n−1 uniform link delays);
 * the round times out ``2 × p99 link delay`` after the vote phase starts.
 
+Proposal check: a validator votes for the proposal it received when
+`Ledger.validate_pool` rejects none of its transactions, checking each
+distinct proposal once.  Its link and hash hold, being built on the head;
+`apply_block` re-checks the link and `verify_chain` recomputes the hash.
+
 Decision order: `tally_votes` is the one vote count, and the rule above is
 applied at the creator first.  When the proposer is honest, its tally runs
 alone, and if the creator commits the round is decided there, in
@@ -81,7 +86,6 @@ from .ledger import (
     Ledger,
     TokenTransaction,
     build_block,
-    compute_block_hash,
     digest,
     max_faulty,
 )
@@ -291,20 +295,6 @@ def _equivocation_variant(pool: Sequence[TokenTransaction], creator: str,
     return build_block(list(pool)[:-1], creator, head)
 
 
-def _proposal_valid(block: Block, ledger: Ledger) -> bool:
-    """The proposal extends the ledger's head, its stored hash matches a
-    recomputation and every transaction validates against the ledger."""
-    head = ledger.head
-    if block.height != head.height + 1 or block.prev_hash != head.block_hash:
-        return False
-    if block.block_hash != compute_block_hash(
-        block.height, block.prev_hash, block.txs, block.creator
-    ):
-        return False
-    accepted, _ = ledger.validate_pool(block.txs)
-    return len(accepted) == len(block.txs)
-
-
 def run_round(
     pool: Sequence[TokenTransaction],
     ledger: Ledger,
@@ -357,7 +347,7 @@ def run_round(
         choice = received.block_hash
         valid = verdicts.get(choice)
         if valid is None:
-            valid = verdicts[choice] = _proposal_valid(received, ledger)
+            valid = verdicts[choice] = not ledger.validate_pool(received.txs)[1]
         v = validators[j]
         beh = byzantine.get(v)
         if not valid or beh is Behavior.SILENT:

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_EVEN
+from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 from enum import Enum
 from importlib import resources
 from typing import Optional
@@ -224,9 +224,12 @@ def tokens_for_emissions(grams: float, price: PricePolicy) -> TokenAmount:
     """
     if grams < 0:
         raise ValueError("grams must be non-negative")
-    centi = (Decimal(str(grams)) * Decimal(str(price.price_cad_per_tonne))).quantize(
-        Decimal(1), rounding=ROUND_HALF_EVEN
-    )
+    try:
+        centi = (Decimal(str(grams)) * Decimal(str(price.price_cad_per_tonne))).quantize(
+            Decimal(1), rounding=ROUND_HALF_EVEN)
+    except InvalidOperation as exc:  # more digits than the context's precision
+        raise ValueError(f"price_cad_per_tonne {price.price_cad_per_tonne!r} prices "
+                         f"{grams!r} g beyond any token amount") from exc
     return TokenAmount(int(centi))
 
 

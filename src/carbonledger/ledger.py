@@ -219,9 +219,6 @@ class ValidationResult:
     code: Optional[str] = None
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 ACCEPT = ValidationResult(True)
 

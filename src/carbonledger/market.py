@@ -4,9 +4,10 @@ The day's cap is the token sum of all person-trip costs.  Every user gets
 an equal grant at genesis (largest-remainder reconciliation keeps the sum
 exact).  Trip payments retire tokens into a non-recirculating retirement
 account; a user short of tokens automatically buys the shortfall from the
-market pool at the fixed price before paying.  Sales flow back into the
-pool at par.  The market keeps no running totals: what was bought, sold
-and retired is the sum of the chain's committed transactions of that kind.
+market pool at the fixed price before paying.  No day sells tokens back
+yet: `TxKind.SALE` is a ledger kind that the market never builds.  The
+market keeps no running totals: what was bought and retired is the sum of
+the chain's committed transactions of that kind.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ class MarketError(Exception):
 
 
 class EmptyPopulation(MarketError):
-    pass
-
-
-class InsufficientTokens(MarketError):
     pass
 
 
@@ -71,19 +68,12 @@ def equal_split_grants(cap: TokenAmount, n_users: int) -> list[TokenAmount]:
 
 def allocate(user_addresses: Sequence[str], policy: CapPolicy,
              market_address: str, timestamp: float = 0.0) -> list[TokenTransaction]:
-    """One allocation transaction per user from the market address."""
-    if not user_addresses:
-        raise EmptyPopulation("no users to allocate to")
+    """One allocation transaction per user with a non-zero grant, from the
+    market address."""
     grants = equal_split_grants(policy.cap, len(user_addresses))
-    txs = []
-    for addr, grant in zip(user_addresses, grants):
-        if grant.centi == 0:
-            continue
-        txs.append(make_transaction(
-            timestamp, market_address, addr, grant, TxKind.ALLOCATION,
-            description="daily grant",
-        ))
-    return txs
+    return [make_transaction(timestamp, market_address, addr, grant, TxKind.ALLOCATION,
+                             description="daily grant")
+            for addr, grant in zip(user_addresses, grants) if grant.centi != 0]
 
 
 MARKET_ADDRESS = derive_address("market")  # the token pool
@@ -93,7 +83,7 @@ OPERATOR_ID = "transit-operator"  # named in operator settlement descriptions
 
 
 class Market:
-    """Fixed-price counterparty: sells to cover deficits, buys surpluses.
+    """Fixed-price counterparty: sells to cover deficits.
 
     It holds no state: the pool is the market wallet's balance on the
     ledger it is given, and it only builds transactions, which change
@@ -152,18 +142,6 @@ class Market:
             cost, TxKind.TRIP_PAYMENT, description=description or "trip:unknown",
         ))
         return txs
-
-    def sell_surplus(self, user_address: str, amount: TokenAmount, ledger: Ledger,
-                     now: float) -> TokenTransaction:
-        """Sell tokens back to the pool at par."""
-        if amount.centi <= 0:
-            raise ValueError("sale amount must be positive")
-        if ledger.balance(user_address) < amount:
-            raise InsufficientTokens(
-                f"balance {ledger.balance(user_address)} < {amount}"
-            )
-        return make_transaction(now, user_address, MARKET_ADDRESS, amount,
-                                TxKind.SALE, description="surplus sale")
 
     def operator_settlement(self, trip: TripRecord, occupied_seats: float,
                             per_seat: TokenAmount, bus_policy: BusChargingPolicy,

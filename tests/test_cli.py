@@ -92,8 +92,9 @@ def test_simulate_mistyped_config_exits_2(tmp_path, capsys, config, named):
 
 
 @pytest.mark.parametrize("config, error", [
-    ({"price_cad_per_tonne": 1e308, "synthetic_users": 5}, "InvalidOperation"),
+    ({"price_cad_per_tonne": 1e308, "synthetic_users": 5}, "ValueError"),
     ({"delays_ms": [10.0, 1e308], "synthetic_users": 5}, "OverflowError"),
+    ({"price_cad_per_tonne": 1e30, "synthetic_users": 5}, "ValueError"),
 ])
 def test_overflowing_config_number_exits_2(tmp_path, capsys, config, error):
     # finite, but pricing or the latency metrics overflow
@@ -102,7 +103,10 @@ def test_overflowing_config_number_exits_2(tmp_path, capsys, config, error):
     code, _, err = run_cli(capsys, "simulate", "-c", str(path), "--out", str(tmp_path / "out"))
     assert code == 2
     line, = err.splitlines()
-    assert json.loads(line)["error"] == error
+    payload = json.loads(line)
+    assert payload["error"] == error
+    if error == "ValueError":  # a trip priced beyond any token amount
+        assert "price_cad_per_tonne" in payload["detail"]
 
 
 def test_simulate_with_byzantine_flag(tmp_path, capsys):

@@ -407,6 +407,31 @@ def test_each_proposal_validated_once_per_round(monkeypatch, leader_behavior, pr
     assert len({tuple(tx.tx_id for tx in txs) for txs in calls}) == proposals
 
 
+@pytest.mark.parametrize("leader_behavior, proposals, outcome", [
+    (None, 1, "committed"),
+    (Behavior.EQUIVOCATE, 2, "no_quorum"),  # the variants split the votes 2-2
+])
+def test_each_proposal_hashed_once_per_round(monkeypatch, leader_behavior, proposals,
+                                             outcome):
+    # the block hash `build_block` computes is the one the round keeps: the
+    # vote walk does not recompute it, and `apply_block` only links the block
+    ledger = make_ledger()
+    byz = {VALIDATORS[0]: leader_behavior} if leader_behavior else {}
+    block_hashes = []
+    digest = ledger_mod.digest
+
+    def counting(*parts):
+        if parts[0] == "blk":
+            block_hashes.append(parts)
+        return digest(*parts)
+
+    monkeypatch.setattr(ledger_mod, "digest", counting)
+    result = run_round(make_pool(ledger, n=3), ledger, NetworkModel(byzantine=byz),
+                       random.Random(5), round_no=0, start_time=100.0)
+    assert result.decision.outcome == outcome
+    assert len(block_hashes) == len(set(block_hashes)) == proposals
+
+
 def test_silent_leader_times_out_then_next_leader_commits():
     ledger = make_ledger()
     pool = make_pool(ledger)

@@ -1,5 +1,7 @@
 """Trip emission and token conversion pipeline."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -138,23 +140,24 @@ def test_zero_grams_zero_tokens():
 
 def test_kilogram_anchor():
     # 0.001 t x 20 CAD/t x 10^4 tokens/CAD
-    assert tokens_for_emissions(1000.0, PRICE) == TokenAmount.from_tokens("200.00")
+    assert tokens_for_emissions(1000.0, PRICE) == TokenAmount.parse("200.00")
 
 
 def test_tonne_anchor_exact():
-    assert tokens_for_emissions(1_000_000.0, PRICE) == TokenAmount.from_tokens("200000.00")
+    assert tokens_for_emissions(1_000_000.0, PRICE) == TokenAmount.parse("200000.00")
 
 
 def test_daily_budget_inverse():
     # 493.79 tokens correspond to 2,468.95 g at 20 CAD/t
-    assert tokens_for_emissions(2468.95, PRICE) == TokenAmount.from_tokens("493.79")
+    assert tokens_for_emissions(2468.95, PRICE) == TokenAmount.parse("493.79")
 
 
 def test_conversion_round_trips_to_cad():
     grams = 1534.217
     tokens = tokens_for_emissions(grams, PRICE)
     expected_cad = grams * 20.0 / 1e6
-    assert abs(float(tokens.to_cad()) - expected_cad) <= 0.5e-6  # half a centi-token
+    cad = Fraction(tokens.centi, 1_000_000)  # 10^6 centi-tokens to the CAD
+    assert abs(float(cad) - expected_cad) <= 0.5e-6  # half a centi-token
 
 
 @given(st.floats(min_value=0, max_value=1e7, allow_nan=False))
@@ -205,7 +208,7 @@ def test_car_trip_reproducing_mode_average():
     grams, tokens = trip_cost(trip(Mode.CAR, 10_300, 1800, passengers=1),
                               table, BUS, PRICE)
     assert grams == pytest.approx(1030.0)
-    assert tokens == TokenAmount.from_tokens("206.00")
+    assert tokens == TokenAmount.parse("206.00")
 
 
 def test_bus_trip_reproducing_per_seat_average():
@@ -215,7 +218,7 @@ def test_bus_trip_reproducing_per_seat_average():
     )
     grams, tokens = trip_cost(trip(Mode.BUS, 10_000, 1800), table, BUS, PRICE)
     assert grams == pytest.approx(235.0)
-    assert tokens == TokenAmount.from_tokens("47.00")
+    assert tokens == TokenAmount.parse("47.00")
 
 
 def test_default_table_loads_and_covers_all_motorized_modes():

@@ -53,7 +53,7 @@ SINK = derive_address("sink")
 
 
 def tok(s) -> TokenAmount:
-    return TokenAmount.from_tokens(s)
+    return TokenAmount.parse(s)
 
 
 def export_text(ledger: Ledger) -> str:

@@ -1,4 +1,4 @@
-"""Cap-and-trade market: allocation, settlement, sales, operator charges."""
+"""Cap-and-trade market: allocation, settlement, operator charges."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +16,12 @@ from carbonledger.ledger import (
     build_block,
     create_genesis,
     derive_address,
+    make_transaction,
 )
 from carbonledger.market import (
     MARKET_ADDRESS,
     CapPolicy,
     EmptyPopulation,
-    InsufficientTokens,
     Market,
     MarketPoolExhausted,
     allocate,
@@ -41,7 +41,7 @@ TABLE = EmissionFactorTable.from_csv(
 
 
 def tok(s):
-    return TokenAmount.from_tokens(s)
+    return TokenAmount.parse(s)
 
 
 def commit(ledger, txs):
@@ -183,29 +183,9 @@ def test_pool_exhaustion_detected():
 # --- sales ---
 
 
-def test_sell_whole_surplus():
-    market = Market()
-    ledger = bootstrap(market, "1137.12")  # 379.04 each
-    pool_before = market.pool(ledger)
-    tx = market.sell_surplus(USERS[0], tok("379.04"), ledger, now=86_000.0)
-    ledger = commit(ledger, [tx])
-    assert ledger.balance(USERS[0]) == TokenAmount.zero()
-    assert market.pool(ledger) == pool_before + tok("379.04")
-    assert committed(ledger, TxKind.SALE) == tok("379.04")
-
-
-def test_sell_zero_rejected():
-    market = Market()
-    ledger = bootstrap(market)
-    with pytest.raises(ValueError):
-        market.sell_surplus(USERS[0], TokenAmount.zero(), ledger, 0.0)
-
-
-def test_sell_more_than_balance_rejected():
-    market = Market()
-    ledger = bootstrap(market, "30.00")
-    with pytest.raises(InsufficientTokens):
-        market.sell_surplus(USERS[0], tok("11.00"), ledger, 0.0)
+def sale(user, amount, now):
+    """A surplus sale back to the pool at par; no day builds one yet."""
+    return make_transaction(now, user, MARKET_ADDRESS, amount, TxKind.SALE, "surplus sale")
 
 
 def test_sale_replenishes_pool_for_later_purchase():
@@ -213,8 +193,7 @@ def test_sale_replenishes_pool_for_later_purchase():
     market = Market()
     ledger = bootstrap(market, "60.00", initial_pool=tok("1.00"))  # 20.00 each
     # user-1 sells 15.00 into the pool
-    sale = market.sell_surplus(USERS[1], tok("15.00"), ledger, 1.0)
-    ledger = commit(ledger, [sale])
+    ledger = commit(ledger, [sale(USERS[1], tok("15.00"), 1.0)])
     assert market.pool(ledger) == tok("16.00")
     # user-0 then needs a 12.00 purchase the original pool could not cover
     txs = market.settle_trip(USERS[0], tok("32.00"), ledger, 2.0,
@@ -264,8 +243,7 @@ def test_cap_accounting_identity_after_a_scripted_day():
     ledger = commit(ledger, script[0])
     txs = market.settle_trip(USERS[1], tok("44.00"), ledger, 2.0, "trip:b")
     ledger = commit(ledger, txs)
-    sale = market.sell_surplus(USERS[2], tok("30.00"), ledger, 3.0)
-    ledger = commit(ledger, [sale])
+    ledger = commit(ledger, [sale(USERS[2], tok("30.00"), 3.0)])
 
     cap = tok("90.00")
     payments = committed(ledger, TxKind.TRIP_PAYMENT)

@@ -249,7 +249,7 @@ def test_reports_reconcile_with_the_chain_on_a_faulty_day(tmp_path):
 
     # the reports charge exactly the committed trip payments
     with open(tmp_path / "reports" / "trip_by_mode.csv", newline="") as fh:
-        charged = sum(TokenAmount.from_tokens(row["total_tokens"]).centi
+        charged = sum(TokenAmount.parse(row["total_tokens"]).centi
                       for row in csv.DictReader(fh))
     assert charged == paid
     # ... which, with the operator payments, are what was retired
@@ -351,7 +351,7 @@ def test_operator_settlements_appear_when_enabled():
 
 
 def test_cap_tokens_sets_the_granted_cap(day):
-    cap = day.cap * 2
+    cap = TokenAmount(day.cap.centi * 2)
     result = run(small_config(cap_tokens=str(cap)))
     assert result.cap == cap
     assert total(result.grants.values()) == cap

@@ -1,55 +1,60 @@
 """Fixed-point token arithmetic."""
 
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation, ROUND_HALF_EVEN
 
 import pytest
 from hypothesis import given, strategies as st
 
-from carbonledger.tokens import CENTI_PER_TOKEN, TOKENS_PER_CAD, TokenAmount, TokenValueError, total
+from carbonledger.emissions import PricePolicy, tokens_for_emissions
+from carbonledger.tokens import CENTI_PER_TOKEN, TokenAmount, TokenValueError, total
 
 
 def test_parse_and_format():
-    assert str(TokenAmount.from_tokens("493.79")) == "493.79"
-    assert TokenAmount.from_tokens("493.79").centi == 49379
-    assert str(TokenAmount.from_tokens(0)) == "0.00"
-    assert str(TokenAmount.from_tokens("-45.24")) == "-45.24"
+    assert str(TokenAmount.parse("493.79")) == "493.79"
+    assert TokenAmount.parse("493.79").centi == 49379
+    assert str(TokenAmount.parse("0.00")) == "0.00"
+    assert str(TokenAmount.parse("-45.24")) == "-45.24"
     assert str(TokenAmount(5)) == "0.05"
     assert str(TokenAmount(-5)) == "-0.05"
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(TokenValueError):
-        TokenAmount.from_tokens("not-a-number")
+        TokenAmount.parse("not-a-number")
 
 
 def test_half_even_rounding_at_boundary():
-    # exactly half a centi-token rounds to the even neighbour
-    assert TokenAmount.from_tokens("0.005").centi == 0
-    assert TokenAmount.from_tokens("0.015").centi == 2
-    assert TokenAmount.from_tokens("0.025").centi == 2
+    # pricing is where amounts are rounded: exactly half a centi-token
+    # (0.025 g at 20 CAD/t) rounds to the even neighbour
+    price = PricePolicy(20.0)
+    assert tokens_for_emissions(0.025, price).centi == 0
+    assert tokens_for_emissions(0.075, price).centi == 2
+    assert tokens_for_emissions(0.125, price).centi == 2
 
 
 def test_arithmetic_is_exact():
-    a = TokenAmount.from_tokens("0.10")
+    a = TokenAmount.parse("0.10")
     total_ = TokenAmount.zero()
     for _ in range(1000):
         total_ = total_ + a
-    assert total_ == TokenAmount.from_tokens("100.00")
+    assert total_ == TokenAmount.parse("100.00")
     assert a - a == TokenAmount.zero()
-    assert -a == TokenAmount(-10)
-    assert 3 * a == TokenAmount(30)
 
 
 def test_scaling_by_float_is_rejected():
+    # amounts do not scale at all; scale `.centi` and round at a boundary
     with pytest.raises(TypeError):
         TokenAmount(100) * 0.5
+    with pytest.raises(TypeError):
+        3 * TokenAmount(100)
 
 
 def test_cad_conversion_identities():
-    # 1 CAD buys 10^4 tokens; 100 tokens are one cent
-    assert TokenAmount.from_cad(1) == TokenAmount.from_tokens(TOKENS_PER_CAD)
-    assert TokenAmount.from_tokens(100).to_cad() == Decimal("0.01")
-    assert TokenAmount.from_tokens("493.79").to_cad() == Decimal("0.049379")
+    # 1 CAD buys 10^4 tokens (a tonne at 1 CAD/t); 100 tokens are one cent
+    # (10 kg at 1 CAD/t)
+    price = PricePolicy(1.0)
+    assert tokens_for_emissions(1_000_000.0, price) == TokenAmount.parse("10000.00")
+    assert tokens_for_emissions(10_000.0, price) == TokenAmount.parse("100.00")
 
 
 def test_ordering():
@@ -66,22 +71,17 @@ def test_total_matches_integer_sum(centis):
 @given(st.integers(min_value=-10**12, max_value=10**12))
 def test_string_round_trip(centi):
     token = TokenAmount(centi)
-    assert TokenAmount.from_tokens(str(token)) == token
-
-
-@given(st.decimals(min_value="-99999.99", max_value="99999.99", places=2))
-def test_decimal_round_trip(dec):
-    token = TokenAmount.from_tokens(dec)
-    assert token.to_decimal() == dec
-    assert token.centi == int(dec * CENTI_PER_TOKEN)
+    assert TokenAmount.parse(str(token)) == token
 
 
 def round_trip(text: str):
-    """The amount `from_tokens` reads from `text` when `str` writes it back
-    as `text`, else None."""
+    """The amount that `text`, read as a decimal number and rounded half-even
+    to two places, stands for, when `str` writes that amount back as `text`;
+    else None."""
     try:
-        amount = TokenAmount.from_tokens(text)
-    except ValueError:
+        dec = Decimal(text).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN)
+        amount = TokenAmount(int(dec * CENTI_PER_TOKEN))
+    except (InvalidOperation, ValueError):  # not a number, or NaN
         return None
     return amount if str(amount) == text else None
 
